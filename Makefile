@@ -30,7 +30,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:80; do \
+	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:80 internal/kir:80 internal/ral:81; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \
@@ -40,8 +40,8 @@ cover:
 	done; exit $$fail
 
 # fuzz runs the native fuzz targets (trace-file and fault-spec parsers,
-# the engine-cache entry decoder, the KIR differential generator — random
-# kernel programs interpreted vs bytecode vs closures, bit-exact — and the
+# the engine-cache entry decoder, the two-way KIR differential generator —
+# random kernel programs, interpreter vs bytecode VM, bit-exact — and the
 # fleet's v2 HTTP infer-body decoder) for FUZZTIME each. Crashers land in
 # testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
@@ -75,16 +75,15 @@ soak:
 		-run TestSaturationFleetHTTP ./internal/fleet
 
 # bench runs every experiment benchmark once and checks the parsed
-# results into BENCH_PR8.json (per-experiment custom metrics, now
-# including the E17 bytecode-vs-closure kernel ablation with its
-# aggregate real wall-clock speedup and bit-identity bit).
-# -benchtime=1x because each benchmark iteration is itself a whole
-# experiment replay.
+# results (per-experiment custom metrics) into BENCH_PR$(PR).json:
+# `make bench PR=14`. -benchtime=1x because each benchmark iteration is
+# itself a whole experiment replay.
 bench:
+	@if [ -z "$(PR)" ]; then echo "bench: set PR=<n> to name the output, e.g. make bench PR=14 (writes BENCH_PR14.json)"; exit 1; fi
 	go test -run '^$$' -bench=. -benchtime=1x -benchmem . | tee bench.out
-	go run ./cmd/benchjson -in bench.out -out BENCH_PR8.json
+	go run ./cmd/benchjson -in bench.out -out BENCH_PR$(PR).json
 	@rm -f bench.out
-	@echo "wrote BENCH_PR8.json"
+	@echo "wrote BENCH_PR$(PR).json"
 
 # bench-compare prints deltas between the two most recent checked-in
 # BENCH_*.json files (or against itself when only one exists). It is

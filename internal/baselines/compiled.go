@@ -168,10 +168,14 @@ type Compiled struct {
 	g      *graph.Graph
 	// mu serializes invocations: the cache, the feedback histogram and
 	// the (respecializable) executable are shared mutable state.
-	mu    sync.Mutex
-	exe   *exec.Executable
-	cache *ral.Cache
-	fb    *feedback
+	mu  sync.Mutex
+	exe *exec.Executable
+	// compiled is the simulated compilation cache: the keys this strategy
+	// has "compiled" so far, with its lookup counters. Nothing is built or
+	// run from it — a hit or miss only decides what stall to charge.
+	compiled     map[string]bool
+	hits, misses int
+	fb           *feedback
 }
 
 // NewCompiled optimizes, plans and lowers the model once. The graph is
@@ -200,7 +204,7 @@ func NewCompiled(g *graph.Graph, dev *device.Model, p CompiledParams) (*Compiled
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s: %w", p.Name, err)
 	}
-	c := &Compiled{params: p, g: g, exe: exe, cache: ral.NewCache()}
+	c := &Compiled{params: p, g: g, exe: exe, compiled: map[string]bool{}}
 	if p.AdaptiveSpeculation {
 		c.fb = newFeedback()
 	}
@@ -214,7 +218,11 @@ func (c *Compiled) Name() string { return c.params.Name }
 func (c *Compiled) Plan() *fusion.Plan { return c.exe.Plan }
 
 // CacheStats exposes compilation-cache behaviour (hits, misses, entries).
-func (c *Compiled) CacheStats() (int, int, int) { return c.cache.Stats() }
+func (c *Compiled) CacheStats() (int, int, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, len(c.compiled)
+}
 
 // Invoke implements Strategy. Invocations are serialized internally.
 func (c *Compiled) Invoke(inputs []*tensor.Tensor) ([]*tensor.Tensor, *ral.Profiler, error) {
@@ -224,10 +232,7 @@ func (c *Compiled) Invoke(inputs []*tensor.Tensor) ([]*tensor.Tensor, *ral.Profi
 	for i, in := range inputs {
 		shapes[i] = in.Shape()
 	}
-	prof, scale, err := c.chargeCacheAndGuards(shapes)
-	if err != nil {
-		return nil, nil, err
-	}
+	prof, scale := c.chargeCacheAndGuards(shapes)
 	res, err := c.exe.Run(inputs)
 	if err != nil {
 		return nil, nil, err
@@ -251,10 +256,7 @@ func (c *Compiled) Invoke(inputs []*tensor.Tensor) ([]*tensor.Tensor, *ral.Profi
 func (c *Compiled) Simulate(shapes [][]int) (*ral.Profiler, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prof, scale, err := c.chargeCacheAndGuards(shapes)
-	if err != nil {
-		return nil, err
-	}
+	prof, scale := c.chargeCacheAndGuards(shapes)
 	simShapes := shapes
 	if c.params.Keying == KeyBucket {
 		simShapes = c.paddedShapes(shapes)
@@ -272,28 +274,28 @@ func (c *Compiled) Simulate(shapes [][]int) (*ral.Profiler, error) {
 // guard overheads for one request, returning the device-time scale to use
 // (the tuned scale, or the fallback scale when the tuning budget is
 // exhausted and this shape is uncovered).
-func (c *Compiled) chargeCacheAndGuards(shapes [][]int) (*ral.Profiler, float64, error) {
+func (c *Compiled) chargeCacheAndGuards(shapes [][]int) (*ral.Profiler, float64) {
 	key := c.cacheKey(shapes)
 	prof := ral.NewProfiler()
 	scale := c.params.DeviceTimeScale
-	_, _, entries := c.cache.Stats()
-	budgetFull := c.params.MaxCacheEntries > 0 && entries >= c.params.MaxCacheEntries
-	if budgetFull {
-		if !c.cache.Contains(key) {
-			// Outside the tuning budget: no stall, untuned kernels.
-			scale = c.params.FallbackScale
-			if scale <= 0 {
-				scale = 1.5
-			}
-			if c.params.GuardNsPerCall > 0 {
-				prof.Host(c.params.GuardNsPerCall)
-			}
-			return prof, scale, nil
+	cached := c.compiled[key]
+	budgetFull := c.params.MaxCacheEntries > 0 && len(c.compiled) >= c.params.MaxCacheEntries
+	if budgetFull && !cached {
+		// Outside the tuning budget: no stall, untuned kernels.
+		scale = c.params.FallbackScale
+		if scale <= 0 {
+			scale = 1.5
 		}
+		if c.params.GuardNsPerCall > 0 {
+			prof.Host(c.params.GuardNsPerCall)
+		}
+		return prof, scale
 	}
-	if _, hit, err := c.cache.GetOrCompile(key, func() (any, error) { return struct{}{}, nil }); err != nil {
-		return nil, 0, err
-	} else if !hit {
+	if cached {
+		c.hits++
+	} else {
+		c.compiled[key] = true
+		c.misses++
 		prof.Compile(c.params.CompileNs)
 	}
 	if c.params.GuardNsPerCall > 0 {
@@ -302,7 +304,7 @@ func (c *Compiled) chargeCacheAndGuards(shapes [][]int) (*ral.Profiler, float64,
 	if stall := c.maybeRespecialize(shapes); stall > 0 {
 		prof.Compile(stall)
 	}
-	return prof, scale, nil
+	return prof, scale
 }
 
 // paddedShapes rounds every dynamic dim up to its bucket.

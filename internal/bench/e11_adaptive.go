@@ -31,7 +31,7 @@ func AdaptiveSpeculation(cfg Config, model string) ([]AdaptiveRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	disc, err := baselines.NewCompiled(m.Build(), dev, cfg.params())
+	disc, err := baselines.NewCompiled(m.Build(), dev, baselines.BladeDISCParams())
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func FusionStats(cfg Config) ([]FusionStatsRow, error) {
 			GroupKinds:      map[fusion.Kind]int{},
 		}
 		for name, fcfg := range policies {
-			params := cfg.params()
+			params := baselines.BladeDISCParams()
 			params.Fusion = fcfg
 			s, err := baselines.NewCompiled(m.Build(), dev, params)
 			if err != nil {

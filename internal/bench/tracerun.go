@@ -24,7 +24,7 @@ func TraceRun(cfg Config, model string, tracer *obs.Tracer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	params := cfg.params()
+	params := baselines.BladeDISCParams()
 	if tracer != nil {
 		params.Hook = tracer
 	}

@@ -28,10 +28,6 @@ type Options struct {
 	// SpeculateLikely emits a variant specialized to a dimension's
 	// declared likely value, dispatched on runtime equality.
 	SpeculateLikely bool
-	// ExecMode selects the kernel execution substrate. The zero value is
-	// kir.ModeBytecode; kir.ModeClosure is the previous closure-tree
-	// execution, retained one release as the -exec-mode ablation oracle.
-	ExecMode kir.ExecMode
 }
 
 // DefaultOptions enables all specializations.

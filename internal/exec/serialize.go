@@ -5,7 +5,7 @@
 // specialization variant table (guards as codegen.GuardSpec data), the
 // compiled shape program, the task DAG with its slot plan, constants, the
 // footprint plan, and the precomputed capacity bound. Decoding rebuilds the
-// runnable closures with kir.Finalize — cheap closure compilation, no
+// runnable programs with kir.Finalize — cheap bytecode compilation, no
 // lowering — and is bit-identical to the original engine by construction:
 // the same ASTs compile to the same programs, the same guard specs rebuild
 // the same dispatch predicates, and the DAG/slot plan is copied verbatim.

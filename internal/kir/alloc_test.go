@@ -6,10 +6,7 @@
 
 package kir
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // allocGateKernels are the kernel shapes the dispatch loop must execute with
 // zero heap allocations per Run/RunRange: a fused elementwise map, a
@@ -85,43 +82,41 @@ func allocGateBufs(k *Kernel) ([][]float32, []int) {
 
 // TestZeroAllocDispatch asserts the tentpole's hard budget: after warmup, a
 // Run (and RunRange, for partitionable kernels) performs zero heap
-// allocations in both execution modes — the frame pool absorbs everything.
+// allocations — the frame pool absorbs everything.
 func TestZeroAllocDispatch(t *testing.T) {
-	for _, mode := range []ExecMode{ModeBytecode, ModeClosure} {
-		for _, k := range allocGateKernels() {
-			t.Run(fmt.Sprintf("%s/%s", mode, k.Name), func(t *testing.T) {
-				cp, err := k.FinalizeMode(mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bufs, dims := allocGateBufs(k)
-				// Warm the frame pool before counting.
+	for _, k := range allocGateKernels() {
+		t.Run("bytecode/"+k.Name, func(t *testing.T) {
+			cp, err := k.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs, dims := allocGateBufs(k)
+			// Warm the frame pool before counting.
+			if err := cp.Run(bufs, dims); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(100, func() {
 				if err := cp.Run(bufs, dims); err != nil {
 					t.Fatal(err)
 				}
-				if n := testing.AllocsPerRun(100, func() {
-					if err := cp.Run(bufs, dims); err != nil {
-						t.Fatal(err)
-					}
-				}); n != 0 {
-					t.Fatalf("Run: %v allocs/op, want 0", n)
+			}); n != 0 {
+				t.Fatalf("Run: %v allocs/op, want 0", n)
+			}
+			if !cp.Partitionable() {
+				return
+			}
+			ext := cp.OuterExtent(dims)
+			if n := testing.AllocsPerRun(100, func() {
+				if err := cp.RunRange(bufs, dims, 0, ext/2); err != nil {
+					t.Fatal(err)
 				}
-				if !cp.Partitionable() {
-					return
+				if err := cp.RunRange(bufs, dims, ext/2, ext); err != nil {
+					t.Fatal(err)
 				}
-				ext := cp.OuterExtent(dims)
-				if n := testing.AllocsPerRun(100, func() {
-					if err := cp.RunRange(bufs, dims, 0, ext/2); err != nil {
-						t.Fatal(err)
-					}
-					if err := cp.RunRange(bufs, dims, ext/2, ext); err != nil {
-						t.Fatal(err)
-					}
-				}); n != 0 {
-					t.Fatalf("RunRange: %v allocs/op, want 0", n)
-				}
-			})
-		}
+			}); n != 0 {
+				t.Fatalf("RunRange: %v allocs/op, want 0", n)
+			}
+		})
 	}
 }
 

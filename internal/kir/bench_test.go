@@ -2,12 +2,19 @@ package kir
 
 import "testing"
 
-// benchModes runs fn once per execution mode as sub-benchmarks, so
-// `go test -bench BenchmarkKernel` reports the bytecode-vs-closure ablation
-// side by side.
-func benchModes(b *testing.B, fn func(b *testing.B, mode ExecMode)) {
-	for _, mode := range []ExecMode{ModeBytecode, ModeClosure} {
-		b.Run(mode.String(), func(b *testing.B) { fn(b, mode) })
+// benchRun times cp.Run over fixed buffers, reporting bytes/s and allocs.
+func benchRun(b *testing.B, k *Kernel, bufs [][]float32, dims []int, bytes int64) {
+	cp, err := k.Finalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Run(bufs, dims); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -31,25 +38,11 @@ func BenchmarkKernelElementwise(b *testing.B) {
 	const n = 1 << 14
 	bufs := [][]float32{make([]float32, n), make([]float32, n)}
 	dims := []int{n}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(n * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchRun(b, k, bufs, dims, n*4)
 }
 
 // BenchmarkKernelAxpyRow measures a superinstruction-eligible row
-// (out = in*2 + rest is a zipS): bytecode runs it as one row op per kernel,
-// closures pay per-element tree walks.
+// (out = in*2 is a zipS): one row op per kernel.
 func BenchmarkKernelAxpyRow(b *testing.B) {
 	k := &Kernel{
 		Name:       "axpy",
@@ -65,24 +58,10 @@ func BenchmarkKernelAxpyRow(b *testing.B) {
 	const n = 1 << 14
 	bufs := [][]float32{make([]float32, n), make([]float32, n)}
 	dims := []int{n}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(n * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchRun(b, k, bufs, dims, n*4)
 }
 
-// BenchmarkKernelRowReduce measures the one-pass reduction superinstruction
-// against closure-tree accumulation.
+// BenchmarkKernelRowReduce measures the one-pass reduction superinstruction.
 func BenchmarkKernelRowReduce(b *testing.B) {
 	k := &Kernel{
 		Name:       "rowsum",
@@ -102,25 +81,12 @@ func BenchmarkKernelRowReduce(b *testing.B) {
 	const r, l = 128, 128
 	bufs := [][]float32{make([]float32, r*l), make([]float32, r*l)}
 	dims := []int{r, l}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(r * l * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchRun(b, k, bufs, dims, r*l*4)
 }
 
-// BenchmarkFinalize measures compilation latency per mode: the bytecode
-// compiler does strictly more work (register allocation + pattern matching),
-// and this pins how much.
+// BenchmarkFinalize measures compilation latency (register allocation +
+// superinstruction pattern matching) — what every engine-cache decode pays
+// per kernel.
 func BenchmarkFinalize(b *testing.B) {
 	k := &Kernel{
 		Name:       "k",
@@ -137,11 +103,9 @@ func BenchmarkFinalize(b *testing.B) {
 			}},
 		},
 	}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		for i := 0; i < b.N; i++ {
-			if _, err := k.FinalizeMode(mode); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Finalize(); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // FuncTable maps scalar function names used by FUn/FBin to implementations.
-// Sharing the tensor package's functions guarantees every execution mode
-// (bytecode, closures, reference interpreter) is bit-identical.
+// Sharing the tensor package's functions guarantees the bytecode VM and the
+// reference interpreter are bit-identical.
 var (
 	unaryFuncs = map[string]tensor.UnaryFunc{
 		"neg": tensor.FnNeg, "abs": tensor.FnAbs, "exp": tensor.FnExp,
@@ -24,41 +24,8 @@ var (
 	}
 )
 
-// ExecMode selects how Finalize compiles the kernel AST.
-type ExecMode uint8
-
-const (
-	// ModeBytecode (the default) compiles to a flat register-based
-	// bytecode program run by a tight dispatch loop (vm.go), with
-	// superinstructions for contiguous row patterns.
-	ModeBytecode ExecMode = iota
-	// ModeClosure is the previous tree-of-Go-closures execution, retained
-	// as the differential oracle behind -exec-mode=closure.
-	ModeClosure
-)
-
-// String implements fmt.Stringer.
-func (m ExecMode) String() string {
-	if m == ModeClosure {
-		return "closure"
-	}
-	return "bytecode"
-}
-
-// ParseExecMode parses the -exec-mode flag values.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "bytecode", "":
-		return ModeBytecode, nil
-	case "closure":
-		return ModeClosure, nil
-	}
-	return ModeBytecode, fmt.Errorf("kir: unknown exec mode %q (have bytecode, closure)", s)
-}
-
-// Frame is the runtime activation record of a compiled kernel. In bytecode
-// mode ints/floats are the flat register file; in closure mode they are the
-// named-local slots.
+// Frame is the runtime activation record of a compiled kernel: ints/floats
+// are the VM's flat register file.
 type Frame struct {
 	ints   []int
 	floats []float32
@@ -72,35 +39,24 @@ type Frame struct {
 // runs).
 type Compiled struct {
 	kernel  *Kernel
-	mode    ExecMode
 	nInts   int
 	nFloats int
 	frames  sync.Pool
 
-	// Bytecode mode: the flat program (vm.go executes it).
+	// prog is the flat bytecode program (vm.go executes it).
 	prog *program
-
-	// Closure mode: the compiled closure tree, plus the range runner when
-	// the kernel is partitionable.
-	crun   func(*Frame)
-	crange func(f *Frame, lo, hi int)
 
 	// extent evaluates the outer loop extent from dims alone — no Frame is
 	// constructed, keeping OuterExtent allocation-free on the per-request
-	// partitioning path. Set (in both modes) iff the kernel body is a
-	// single top-level loop with a dims-only extent.
+	// partitioning path. Set iff the kernel body is a single top-level loop
+	// with a dims-only extent.
 	extent func(dims []int) int
 }
 
-// Finalize validates and compiles the kernel in the default (bytecode)
-// mode. This is the compile-time half of the combined codegen: after
-// Finalize, Run only binds runtime dims and buffers.
-func (k *Kernel) Finalize() (*Compiled, error) { return k.FinalizeMode(ModeBytecode) }
-
-// FinalizeMode validates and compiles the kernel for the given execution
-// mode. Both modes accept exactly the same programs and produce
-// bit-identical stores.
-func (k *Kernel) FinalizeMode(mode ExecMode) (*Compiled, error) {
+// Finalize validates the kernel and compiles it to bytecode. This is the
+// compile-time half of the combined codegen: after Finalize, Run only binds
+// runtime dims and buffers.
+func (k *Kernel) Finalize() (*Compiled, error) {
 	dimSlot := map[string]int{}
 	for i, d := range k.DimNames {
 		if _, dup := dimSlot[d]; dup {
@@ -108,7 +64,7 @@ func (k *Kernel) FinalizeMode(mode ExecMode) (*Compiled, error) {
 		}
 		dimSlot[d] = i
 	}
-	cp := &Compiled{kernel: k, mode: mode}
+	cp := &Compiled{kernel: k}
 	lp, partitionable := singleOuterLoop(k.Body)
 	if partitionable {
 		// The extent is evaluated via cp.extent rather than compiled code,
@@ -117,12 +73,6 @@ func (k *Kernel) FinalizeMode(mode ExecMode) (*Compiled, error) {
 			return nil, fmt.Errorf("kir: kernel %s: unknown dim %q", k.Name, d)
 		}
 		cp.extent = compileDimExtent(lp.Extent, dimSlot)
-	}
-	if mode == ModeClosure {
-		if err := cp.finalizeClosures(dimSlot, lp, partitionable); err != nil {
-			return nil, err
-		}
-		return cp, nil
 	}
 	if err := cp.finalizeBytecode(dimSlot, lp, partitionable); err != nil {
 		return nil, err
@@ -269,15 +219,11 @@ func (cp *Compiled) Run(bufs [][]float32, dims []int) error {
 	}
 	f := cp.getFrame(bufs, dims)
 	defer cp.putFrame(f)
-	if cp.prog != nil {
-		if cp.prog.loReg >= 0 {
-			f.ints[cp.prog.loReg] = 0
-			f.ints[cp.prog.hiReg] = cp.extent(dims)
-		}
-		cp.prog.exec(f)
-	} else {
-		cp.crun(f)
+	if cp.prog.loReg >= 0 {
+		f.ints[cp.prog.loReg] = 0
+		f.ints[cp.prog.hiReg] = cp.extent(dims)
 	}
+	cp.prog.exec(f)
 	return nil
 }
 
@@ -300,9 +246,9 @@ func (cp *Compiled) OuterExtent(dims []int) int {
 
 // RunRange executes outer-loop iterations [lo, hi) only. Iterations run in
 // ascending order, exactly as a full Run would visit them, so splitting
-// [0, extent) into contiguous ranges produces bit-identical stores. In
-// bytecode mode the range is seeded into the program's dedicated lo/hi
-// registers before dispatch.
+// [0, extent) into contiguous ranges produces bit-identical stores. The
+// range is seeded into the program's dedicated lo/hi registers before
+// dispatch.
 func (cp *Compiled) RunRange(bufs [][]float32, dims []int, lo, hi int) error {
 	if cp.extent == nil {
 		return fmt.Errorf("kir: kernel %s: not partitionable", cp.kernel.Name)
@@ -318,21 +264,14 @@ func (cp *Compiled) RunRange(bufs [][]float32, dims []int, lo, hi int) error {
 	}
 	f := cp.getFrame(bufs, dims)
 	defer cp.putFrame(f)
-	if cp.prog != nil {
-		f.ints[cp.prog.loReg] = lo
-		f.ints[cp.prog.hiReg] = hi
-		cp.prog.exec(f)
-	} else {
-		cp.crange(f, lo, hi)
-	}
+	f.ints[cp.prog.loReg] = lo
+	f.ints[cp.prog.hiReg] = hi
+	cp.prog.exec(f)
 	return nil
 }
 
 // Name returns the kernel's name.
 func (cp *Compiled) Name() string { return cp.kernel.Name }
-
-// Mode returns the execution mode this kernel was compiled for.
-func (cp *Compiled) Mode() ExecMode { return cp.mode }
 
 // AST returns the kernel AST this program was compiled from. The AST is
 // pure data, so it is what the engine cache serializes; decoding re-runs
@@ -343,11 +282,5 @@ func (cp *Compiled) AST() *Kernel { return cp.kernel }
 func (cp *Compiled) DimNames() []string { return cp.kernel.DimNames }
 
 // Superinstructions reports how many whole-row superinstructions the
-// bytecode compiler emitted (0 in closure mode) — exposed for tests,
-// tracing and the E17 experiment.
-func (cp *Compiled) Superinstructions() int {
-	if cp.prog == nil {
-		return 0
-	}
-	return cp.prog.supers
-}
+// bytecode compiler emitted — exposed for tests and tracing.
+func (cp *Compiled) Superinstructions() int { return cp.prog.supers }

@@ -7,17 +7,16 @@ import (
 	"testing"
 )
 
-// The differential suite: random programs are executed by the bytecode VM,
-// the closure compiler, and the reference tree-walking interpreter, and all
-// stores must agree bit for bit (math.Float32bits equality, so NaN
-// propagation and -0 are checked too). Partitionable programs additionally
-// run as random contiguous RunRange splits, which must reproduce the full
-// run exactly.
+// The differential suite: random programs are executed by the bytecode VM
+// and the reference tree-walking interpreter, and all stores must agree bit
+// for bit (math.Float32bits equality, so NaN propagation and -0 are checked
+// too). Partitionable programs additionally run as random contiguous
+// RunRange splits, which must reproduce the full run exactly.
 
 // genProgram builds a random valid kernel from the seed. Every buffer index
 // is kept in bounds by construction (non-negative affine/min/mod arithmetic
 // reduced mod the domain size), so generated programs never fault and any
-// divergence between execution modes is a genuine compiler bug.
+// divergence between VM and interpreter is a genuine compiler bug.
 type progGen struct {
 	r       *rand.Rand
 	k       *Kernel
@@ -165,7 +164,7 @@ func (g *progGen) stmt() Stmt {
 		}
 		// The extent generates before the loop variable enters scope: an
 		// extent referencing its own variable is a use-before-definition
-		// that both compilers reject.
+		// that Finalize rejects.
 		extent := g.loopExtent()
 		ni, nf := len(g.intVars), len(g.fltVars)
 		g.intVars = append(g.intVars, v)
@@ -356,20 +355,16 @@ func bufsBitEqual(a, b [][]float32) (int, int, bool) {
 	return 0, 0, true
 }
 
-// checkDifferential compiles k in both modes, runs them plus the reference
-// interpreter on identical inputs, and requires bit-identical stores. For
+// checkDifferential compiles k, runs the VM and the reference interpreter
+// on identical inputs, and requires bit-identical stores. A program Finalize
+// rejects is skipped (TestFinalizeRejectsBadPrograms owns the rejection
+// classes); a program it accepts must interpret without error. For
 // partitionable programs it re-runs the bytecode via random contiguous
 // RunRange splits. Returns an error description or "" on agreement.
 func checkDifferential(k *Kernel, dims []int, seed int64) string {
-	// The reference accumulator for reduce bodies reads an undefined local
-	// on some generated programs; both compilers must agree on rejection.
-	cpB, errB := k.FinalizeMode(ModeBytecode)
-	cpC, errC := k.FinalizeMode(ModeClosure)
-	if (errB == nil) != (errC == nil) {
-		return fmt.Sprintf("finalize disagreement: bytecode=%v closure=%v", errB, errC)
-	}
-	if errB != nil {
-		return "" // both reject: agreement
+	cpB, err := k.Finalize()
+	if err != nil {
+		return ""
 	}
 	size := 1
 	for _, d := range dims {
@@ -380,27 +375,17 @@ func checkDifferential(k *Kernel, dims []int, seed int64) string {
 	}
 	ref := fillBufs(k.NumBuffers, size, seed)
 	bc := cloneBufs(ref)
-	cl := cloneBufs(ref)
 	if err := Interpret(k, ref, dims); err != nil {
-		// The interpreter rejects (e.g. undefined local read at runtime);
-		// compiled modes reject the same programs at compile time, so a
-		// runtime-only interpreter error means the program never reached
-		// a defined state worth comparing.
+		// Whatever the interpreter faults on at run time (e.g. an undefined
+		// local read) Finalize must have rejected at compile time.
 		return fmt.Sprintf("interpreter error on finalizable program: %v", err)
 	}
 	if err := cpB.Run(bc, dims); err != nil {
 		return fmt.Sprintf("bytecode run: %v", err)
 	}
-	if err := cpC.Run(cl, dims); err != nil {
-		return fmt.Sprintf("closure run: %v", err)
-	}
 	if i, j, ok := bufsBitEqual(bc, ref); !ok {
 		return fmt.Sprintf("bytecode vs interpreter: buf %d[%d]: %x != %x\n%s",
 			i, j, math.Float32bits(bc[i][j]), math.Float32bits(ref[i][j]), cpB.Disassemble())
-	}
-	if i, j, ok := bufsBitEqual(cl, ref); !ok {
-		return fmt.Sprintf("closure vs interpreter: buf %d[%d]: %x != %x", i, j,
-			math.Float32bits(cl[i][j]), math.Float32bits(ref[i][j]))
 	}
 	if !cpB.Partitionable() {
 		return ""
@@ -438,6 +423,11 @@ func dimsForSeed(k *Kernel, seed int64) []int {
 func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		k := genProgram(seed)
+		// checkDifferential skips what Finalize rejects; the generator only
+		// emits valid programs, so a rejection here would hollow the suite.
+		if _, err := k.Finalize(); err != nil {
+			t.Fatalf("seed %d: generated program rejected: %v\nkernel:\n%s", seed, err, k)
+		}
 		if msg := checkDifferential(k, dimsForSeed(k, seed), seed); msg != "" {
 			t.Fatalf("seed %d: %s\nkernel:\n%s", seed, msg, k)
 		}
@@ -503,7 +493,7 @@ func TestDifferentialHandWritten(t *testing.T) {
 }
 
 // FuzzKIRProgram drives the same generator + differential oracle from the
-// native fuzzer: any seed where the three execution engines disagree (or
+// native fuzzer: any seed where the VM and the interpreter disagree (or
 // where a RunRange split diverges from the full run) is a crasher.
 func FuzzKIRProgram(f *testing.F) {
 	for s := int64(0); s < 16; s++ {

@@ -4,8 +4,8 @@ import "fmt"
 
 // Interpret executes the kernel AST directly — a deliberately naive
 // tree-walking reference evaluator with map-based environments, used by the
-// differential suites and fuzzer as the semantics oracle for both compiled
-// modes. It shares the scalar function tables, so agreement is bitwise.
+// differential suites and fuzzer as the semantics oracle for the bytecode
+// VM. It shares the scalar function tables, so agreement is bitwise.
 func Interpret(k *Kernel, bufs [][]float32, dims []int) error {
 	if len(bufs) != k.NumBuffers {
 		return fmt.Errorf("kir: interpret %s: got %d buffers, want %d", k.Name, len(bufs), k.NumBuffers)

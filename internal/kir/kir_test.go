@@ -143,6 +143,48 @@ func TestFinalizeRejectsBadPrograms(t *testing.T) {
 		{"undefined local", &Kernel{NumBuffers: 1, Body: []Stmt{
 			SStore{Buf: 0, Idx: IConst(0), Val: FLocal("acc")},
 		}}},
+		{"unknown binary fn", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FBin{Fn: "zzz", A: FLoad{Buf: 0, Idx: IConst(0)}, B: FConst(1)}},
+		}}},
+		{"unknown compare op", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FCmp{Op: "zz", A: FConst(0), B: FConst(1)}},
+		}}},
+		{"unknown int op", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IBin{Op: IntOp(99), A: IConst(0), B: IConst(0)}, Val: FConst(0)},
+		}}},
+		{"unknown dim in index", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IDim("zz"), Val: FConst(0)},
+		}}},
+		{"duplicate dim", &Kernel{NumBuffers: 1, DimNames: []string{"n", "n"}}},
+		{"load buffer oob", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FLoad{Buf: 1, Idx: IConst(0)}},
+		}}},
+		{"f32 local read before its definition in the same block", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FLocal("x")},
+			SSet{Var: "x", Val: FConst(1)},
+		}}},
+		{"int var read before its definition in the same block", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IVar("x"), Val: FConst(0)},
+			SSetInt{Var: "x", Val: IConst(0)},
+		}}},
+		// The register exists (slots are pre-assigned kernel-wide) but the
+		// only definition sits in a later inner loop.
+		{"local defined only inside a later inner loop", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FLocal("x")},
+			SLoop{Var: "i", Extent: IConst(2), Body: []Stmt{SSet{Var: "x", Val: FConst(1)}}},
+		}}},
+		{"loop extent reads its own variable", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SStore{Buf: 0, Idx: IConst(0), Val: FConst(0)},
+			SLoop{Var: "i", Extent: IVar("i"), Body: nil},
+		}}},
+		{"f32 local read as int var", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SSet{Var: "x", Val: FConst(1)},
+			SStore{Buf: 0, Idx: IVar("x"), Val: FConst(0)},
+		}}},
+		{"int var read as f32 local", &Kernel{NumBuffers: 1, Body: []Stmt{
+			SSetInt{Var: "x", Val: IConst(0)},
+			SStore{Buf: 0, Idx: IConst(0), Val: FLocal("x")},
+		}}},
 	}
 	for _, c := range cases {
 		if _, err := c.k.Finalize(); err == nil {

@@ -23,7 +23,7 @@ func stride1Row(body []Stmt) *Kernel {
 
 func requireSuper(t *testing.T, k *Kernel, wantOp string) *Compiled {
 	t.Helper()
-	cp, err := k.FinalizeMode(ModeBytecode)
+	cp, err := k.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSuperinstructionWrongHintFallback(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := stride1Row(tc.body)
-			cp, err := k.FinalizeMode(ModeBytecode)
+			cp, err := k.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestSuperinstructionWrongHintFallback(t *testing.T) {
 // TestSuperinstructionNewKinds pins the PR 8 additions: vector-vector
 // un∘bin fusion, row fills, strided gathers with symbolic strides, and
 // buffer-loaded scalars — each must collapse to its row op AND stay
-// bit-identical across interpreter/bytecode/closure.
+// bit-identical between interpreter and bytecode.
 func TestSuperinstructionNewKinds(t *testing.T) {
 	load := FLoad{Buf: 0, Idx: IVar("i")}
 	// gathsRow loops i over m with buffers sized n*m so strided reads
@@ -249,7 +249,7 @@ func TestSuperinstructionNewKinds(t *testing.T) {
 		SStore{Buf: 1, Idx: IVar("i"),
 			Val: FBin{Fn: "add", A: load, B: FLoad{Buf: 1, Idx: IConst(0)}}},
 	})
-	cp, err := alias.FinalizeMode(ModeBytecode)
+	cp, err := alias.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSuperinstructionStoreReduce(t *testing.T) {
 			body []Stmt
 		}{
 			// The store writes the buffer the vector load reads: the
-			// closure oracle re-evaluates the element expression after
+			// interpreter re-evaluates the element expression after
 			// the store, so fusing would change semantics.
 			{"store aliases load", func() []Stmt {
 				v := FUn{Fn: "exp", X: FLoad{Buf: 0, Idx: IVar("i")}}
@@ -323,7 +323,7 @@ func TestSuperinstructionStoreReduce(t *testing.T) {
 		}
 		for _, rc := range rejects {
 			k := fused(rc.body)
-			cp, err := k.FinalizeMode(ModeBytecode)
+			cp, err := k.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}

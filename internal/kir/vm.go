@@ -446,7 +446,7 @@ func rowReduce(acc float32, src []float32, fn int) float32 {
 		}
 	case bcMax:
 		// FnMax(acc, v) keeps acc only when acc > v (NaN acc is replaced,
-		// matching the closure oracle bit for bit).
+		// matching tensor.FnMax bit for bit).
 		for _, v := range src {
 			if !(acc > v) {
 				acc = v

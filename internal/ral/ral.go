@@ -193,9 +193,9 @@ type Profiler struct {
 	Partitions int
 	// KernelWallNs accumulates real host wall-clock nanoseconds spent inside
 	// compiled kernel programs (generated-kernel substrate only — library
-	// calls excluded, so the E17 exec-mode ablation measures exactly the
-	// code the kernel compiler owns). Recorded on the sequential execution
-	// path; parallel workers skip the timer to stay lock-free.
+	// calls excluded, so it measures exactly the code the kernel compiler
+	// owns). Recorded on the sequential execution path; parallel workers
+	// skip the timer to stay lock-free.
 	KernelWallNs float64
 	// KernelRuns counts the kernel program invocations timed into
 	// KernelWallNs.
@@ -350,46 +350,17 @@ func NewCache() *Cache {
 	}
 }
 
-// GetOrCompile returns the cached value for key, or invokes compile and
+// AcquireOrCompile returns the cached value for key, or invokes compile and
 // stores the result. The boolean reports whether it was a hit. If another
 // goroutine is already compiling the same key, the call blocks until that
 // compilation finishes and shares its outcome (reported as a hit: this
 // caller did not pay for a compilation). A failed compilation is not
 // cached; the next request retries.
-func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if v, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if fc, ok := c.inflight[key]; ok {
-		c.shared++
-		c.mu.Unlock()
-		<-fc.done
-		return fc.v, true, fc.err
-	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.inflight[key] = fc
-	c.misses++
-	c.mu.Unlock()
-
-	fc.v, fc.err = compile()
-	c.mu.Lock()
-	if fc.err == nil {
-		c.entries[key] = fc.v
-	}
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(fc.done)
-	return fc.v, false, fc.err
-}
-
-// AcquireOrCompile is GetOrCompile with eviction pinning: on success the
-// entry's pin count is incremented atomically with the lookup, so Evict
-// cannot remove it until the caller's matching Unpin. Callers that run
-// the cached engine use this; callers that only materialize it (async
-// compilation) keep GetOrCompile.
+//
+// On success the entry's pin count is incremented atomically with the
+// lookup, so Evict cannot remove it until the caller's matching Unpin. A
+// caller that only materializes the entry (a warm-up, a background
+// compilation) unpins at once.
 func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, bool, error) {
 	for {
 		c.mu.Lock()
@@ -409,7 +380,13 @@ func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, 
 			fc.v, fc.err = compile()
 			c.mu.Lock()
 			if fc.err == nil {
-				c.entries[key] = fc.v
+				// An AcquirePut may have bound the key while this flight was
+				// in the air: the first binding wins.
+				if bound, ok := c.entries[key]; ok {
+					fc.v = bound
+				} else {
+					c.entries[key] = fc.v
+				}
 				c.pins[key]++
 			}
 			delete(c.inflight, key)
@@ -427,17 +404,20 @@ func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, 
 		// evicted in the gap before we could pin it; re-loop so lookup
 		// and pin stay atomic.
 		c.mu.Lock()
-		if _, ok := c.entries[key]; ok {
+		if v, ok := c.entries[key]; ok {
 			c.pins[key]++
 			c.mu.Unlock()
-			return fc.v, true, nil
+			return v, true, nil
 		}
 		c.mu.Unlock()
 	}
 }
 
-// AcquirePeek is Peek with eviction pinning: a hit increments the entry's
-// pin count atomically with the lookup. The caller must Unpin.
+// AcquirePeek returns the cached value for key without ever blocking: no
+// singleflight join, no compile. The async-compile serving path uses it to
+// decide between "run the engine" and "serve the interpreter while a
+// background build runs". A present key counts as a hit and is pinned
+// atomically with the lookup; the caller must Unpin.
 func (c *Cache) AcquirePeek(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -449,7 +429,27 @@ func (c *Cache) AcquirePeek(key string) (any, bool) {
 	return v, ok
 }
 
-// Unpin releases one AcquireOrCompile/AcquirePeek pin.
+// AcquirePut binds key to v — a value produced outside AcquireOrCompile (a
+// deserialized engine) — unless the key is already bound, and returns
+// whichever value holds the key, pinned. The first binding of a key wins:
+// once an engine serves requests it is never hot-swapped for a rival, so
+// concurrent loaders and compilers converge on one engine per key. It never
+// blocks: an in-flight compilation of the same key is not joined, and
+// adopts this binding when it lands. An insert is not a lookup, so neither
+// hits nor misses move. The caller must Unpin.
+func (c *Cache) AcquirePut(key string, v any) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if bound, ok := c.entries[key]; ok {
+		v = bound
+	} else {
+		c.entries[key] = v
+	}
+	c.pins[key]++
+	return v
+}
+
+// Unpin releases one AcquireOrCompile/AcquirePeek/AcquirePut pin.
 func (c *Cache) Unpin(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -491,40 +491,6 @@ func (c *Cache) Evictions() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictions
-}
-
-// Peek returns the cached value for key without ever blocking: no
-// singleflight join, no compile. The async-compile serving path uses it
-// to decide between "run the engine" and "serve the interpreter while a
-// background build runs". A present key counts as a hit.
-func (c *Cache) Peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-	}
-	return v, ok
-}
-
-// Put stores a value produced outside GetOrCompile (a background
-// compilation, a deserialized engine). The first binding of a key wins:
-// once an engine serves requests it is never hot-swapped for a rival, so
-// concurrent loaders and compilers converge on one engine per key.
-func (c *Cache) Put(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
-		c.entries[key] = v
-	}
-}
-
-// Contains reports whether key is cached, counting a hit if so.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // Stats returns (hits, misses, entries). A caller that waited on another

@@ -84,31 +84,38 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	c := NewCache()
 	calls := 0
 	compile := func() (any, error) { calls++; return calls, nil }
-	v1, hit1, err := c.GetOrCompile("a", compile)
+	v1, hit1, err := c.AcquireOrCompile("a", compile)
 	if err != nil || hit1 || v1 != 1 {
 		t.Fatalf("first: %v %v %v", v1, hit1, err)
 	}
-	v2, hit2, err := c.GetOrCompile("a", compile)
+	v2, hit2, err := c.AcquireOrCompile("a", compile)
 	if err != nil || !hit2 || v2 != 1 {
 		t.Fatalf("second: %v %v %v", v2, hit2, err)
 	}
-	if _, _, err := c.GetOrCompile("b", compile); err != nil {
+	if _, _, err := c.AcquireOrCompile("b", compile); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, entries := c.Stats()
 	if hits != 1 || misses != 2 || entries != 2 {
 		t.Fatalf("stats %d/%d/%d", hits, misses, entries)
 	}
+	// Every successful acquire — compile or hit — holds one pin.
+	if c.Pins("a") != 2 || c.Pins("b") != 1 {
+		t.Fatalf("pins a=%d b=%d, want 2 and 1", c.Pins("a"), c.Pins("b"))
+	}
 }
 
 func TestCachePropagatesErrors(t *testing.T) {
 	c := NewCache()
 	wantErr := errors.New("boom")
-	if _, _, err := c.GetOrCompile("x", func() (any, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if _, _, err := c.AcquireOrCompile("x", func() (any, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
+	if n := c.Pins("x"); n != 0 {
+		t.Fatalf("failed compile must not pin: %d", n)
+	}
 	// Failed compiles are not cached.
-	if _, hit, err := c.GetOrCompile("x", func() (any, error) { return 1, nil }); err != nil || hit {
+	if _, hit, err := c.AcquireOrCompile("x", func() (any, error) { return 1, nil }); err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}
 }
@@ -133,7 +140,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, hit, err := c.GetOrCompile("sig", compile)
+			v, hit, err := c.AcquireOrCompile("sig", compile)
 			if err != nil {
 				t.Error(err)
 			}
@@ -164,6 +171,9 @@ func TestCacheSingleflight(t *testing.T) {
 	if h != waiters-1 || m != 1 || e != 1 {
 		t.Fatalf("stats %d/%d/%d", h, m, e)
 	}
+	if n := c.Pins("sig"); n != waiters {
+		t.Fatalf("%d pins, want one per caller (%d)", n, waiters)
+	}
 }
 
 func TestCacheSingleflightErrorNotCached(t *testing.T) {
@@ -177,7 +187,7 @@ func TestCacheSingleflightErrorNotCached(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			_, _, errs[i] = c.GetOrCompile("k", func() (any, error) { return nil, boom })
+			_, _, errs[i] = c.AcquireOrCompile("k", func() (any, error) { return nil, boom })
 		}(i)
 	}
 	close(gate)
@@ -188,7 +198,7 @@ func TestCacheSingleflightErrorNotCached(t *testing.T) {
 		}
 	}
 	// The failure was not cached: a later compile succeeds.
-	if v, hit, err := c.GetOrCompile("k", func() (any, error) { return 7, nil }); err != nil || hit || v != 7 {
+	if v, hit, err := c.AcquireOrCompile("k", func() (any, error) { return 7, nil }); err != nil || hit || v != 7 {
 		t.Fatalf("retry: %v %v %v", v, hit, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"godisc/internal/exec"
 	"godisc/internal/faultinject"
 	"godisc/internal/servetest"
 	"godisc/internal/tensor"
@@ -205,5 +206,138 @@ func TestCachePersistLoadAcrossServers(t *testing.T) {
 	st := b.Stats()
 	if st.EngineLoads != 1 {
 		t.Fatalf("second server must load the persisted engine: %+v", st)
+	}
+}
+
+// pinCheckEngine wraps a decoded engine with a probe that runs inside
+// RunContext, i.e. while the request is using the engine.
+type pinCheckEngine struct {
+	Engine
+	inRun func()
+}
+
+func (e pinCheckEngine) RunContext(ctx context.Context, inputs []*tensor.Tensor) (*exec.Result, error) {
+	e.inRun()
+	return e.Engine.RunContext(ctx, inputs)
+}
+
+// TestAsyncWarmCacheRunsPinnedUnderEviction is the regression test for the
+// async fast path handing out an engine it had loaded from disk but not
+// pinned: with the persistent cache warm, clients keep meeting a first-seen
+// signature (an evictor empties the in-memory slot as fast as it can) and
+// every run on a decoded engine must observe its cache entry pinned — the
+// invariant EvictEngine's callers rely on to release an engine's memory.
+func TestAsyncWarmCacheRunsPinnedUnderEviction(t *testing.T) {
+	dec, enc := cacheCodecs()
+	dir := t.TempDir()
+	warm := New(Config{
+		MaxConcurrent: 2,
+		EngineCache:   servetest.OpenCache(t, dir), DecodeEngine: dec, EncodeEngine: enc,
+	}, realCompile(nil))
+	if err := warm.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Warm("mlp"); err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+
+	var (
+		s              *Server
+		key            string
+		runs, unpinned atomic.Int32
+		compiles       int32
+	)
+	pinDec := func(payload []byte) (Engine, error) {
+		eng, err := dec(payload)
+		if err != nil {
+			return nil, err
+		}
+		return pinCheckEngine{eng, func() {
+			runs.Add(1)
+			if s.cache.Pins(key) == 0 {
+				unpinned.Add(1)
+			}
+		}}, nil
+	}
+	s = New(Config{
+		MaxConcurrent: 8, AsyncCompile: true,
+		EngineCache: servetest.OpenCache(t, dir), DecodeEngine: pinDec, EncodeEngine: enc,
+	}, realCompile(&compiles))
+	if err := s.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	sig, err := s.ModelSignature("mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key = "mlp@" + sig
+
+	// A background evictor races the requests; between rounds, with every
+	// pin dropped, the slot is emptied for certain, so each round opens on
+	// a first-seen signature however the scheduler treats the evictor.
+	var evictions atomic.Int32
+	evict := func() {
+		if evicted, _ := s.EvictEngine("mlp", sig); evicted {
+			evictions.Add(1)
+		}
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				evict()
+			}
+		}
+	}()
+
+	const clients, rounds, perRound = 8, 10, 4
+	for round := 0; round < rounds; round++ {
+		evict()
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				r := tensor.NewRNG(uint64(100*round + c))
+				for i := 0; i < perRound; i++ {
+					resp, err := s.Infer(context.Background(), &Request{
+						Model: "mlp", Inputs: []*tensor.Tensor{tensor.RandN(r, 0.5, 1+i, 12)},
+					})
+					if err != nil {
+						t.Errorf("round %d client %d: %v", round, c, err)
+						return
+					}
+					if resp.Compiling {
+						t.Errorf("round %d client %d: served by the interpreter over a warm cache", round, c)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	close(stop)
+	<-stopped
+	servetest.Drain(t, s)
+
+	if n := runs.Load(); n != clients*rounds*perRound {
+		t.Fatalf("%d of %d requests ran on a decoded engine", n, clients*rounds*perRound)
+	}
+	if n := unpinned.Load(); n != 0 {
+		t.Fatalf("%d runs executed with no pin on their cache entry", n)
+	}
+	if n := s.cache.Pins(key); n != 0 {
+		t.Fatalf("%d pins leaked after drain", n)
+	}
+	if n := atomic.LoadInt32(&compiles); n != 0 {
+		t.Fatalf("warm cache must serve without compiling, got %d compiles", n)
+	}
+	if n := evictions.Load(); n < rounds-1 {
+		t.Fatalf("%d evictions over %d rounds: some round did not open on an empty slot", n, rounds)
 	}
 }

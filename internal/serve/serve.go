@@ -593,16 +593,10 @@ func (s *Server) engineFast(m *modelEntry, sig, key string, sp *obs.Span) (eng E
 	}
 	lsp.SetAttr("hit", "false")
 	if eng := s.loadPersisted(m, key, lsp); eng != nil {
-		// Put is first-binding-wins, so re-acquire what actually landed:
-		// a racing loader's engine may have won the slot.
-		s.cache.Put(key, eng)
-		if v, ok := s.cache.AcquirePeek(key); ok {
-			return v.(Engine), false, true, func() { s.cache.Unpin(key) }
-		}
-		// Evicted between Put and pin (vanishingly rare): serve this
-		// request on the just-decoded engine without a pin — nothing
-		// references the cache entry, so eviction cannot invalidate it.
-		return eng, false, true, func() {}
+		// First binding wins: a racing loader's engine may hold the slot,
+		// so run whichever engine the cache hands back.
+		v := s.cache.AcquirePut(key, eng)
+		return v.(Engine), false, true, func() { s.cache.Unpin(key) }
 	}
 	return nil, false, false, nil
 }
@@ -665,7 +659,7 @@ func (s *Server) compileAsync(m *modelEntry, sig, key string) {
 				defer release()
 			}
 		}
-		_, _, err := s.cache.GetOrCompile(key, func() (any, error) {
+		_, _, err := s.cache.AcquireOrCompile(key, func() (any, error) {
 			return s.buildEngine(m, sig, key, g, sp)
 		})
 		if err != nil {
@@ -673,7 +667,9 @@ func (s *Server) compileAsync(m *modelEntry, sig, key string) {
 			if br := s.breakerFor(key); br.failure(time.Now()) {
 				s.stats.breakerOpened()
 			}
+			return
 		}
+		s.cache.Unpin(key) // nothing runs here: the pin only covered the insert
 	}()
 }
 
