@@ -30,7 +30,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:80 internal/kir:80 internal/ral:81; do \
+	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:80 internal/ral:81; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \
@@ -42,7 +42,8 @@ cover:
 # fuzz runs the native fuzz targets (trace-file and fault-spec parsers,
 # the engine-cache entry decoder, the two-way KIR differential generator —
 # random kernel programs, interpreter vs bytecode VM, bit-exact — and the
-# fleet's v2 HTTP infer-body decoder) for FUZZTIME each. Crashers land in
+# fleet's v2 HTTP infer-body decoder and tensor-data codec, both
+# differentially against encoding/json) for FUZZTIME each. Crashers land in
 # testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
 fuzz:
@@ -51,6 +52,7 @@ fuzz:
 	go test -fuzz=FuzzEngineCacheDecode -fuzztime=$(FUZZTIME) ./internal/enginecache
 	go test -fuzz=FuzzKIRProgram -fuzztime=$(FUZZTIME) ./internal/kir
 	go test -fuzz=FuzzV2InferDecode -fuzztime=$(FUZZTIME) ./internal/fleet
+	go test -fuzz=FuzzV2FloatCodec -fuzztime=$(FUZZTIME) ./internal/fleet
 
 # chaos replays the serve/exec suites under -race with fault injection
 # armed at a fresh random seed. The seed is printed so a failing run

@@ -1,17 +1,22 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"godisc/internal/faultinject"
 	"godisc/internal/graph"
 	"godisc/internal/serve"
 	"godisc/internal/servetest"
+	"godisc/internal/symshape"
 	"godisc/internal/tensor"
 )
 
@@ -248,5 +253,85 @@ func TestFleetHTTPMatchesDirectInfer(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConcurrentRepliesMatchReference drives 1 KB and 700 KB requests
+// concurrently over a few shared keep-alive connections, with the
+// http-write fault site tearing down one reply in five, and demands that
+// every reply that arrives is byte for byte encodeRef of a direct
+// Server.Infer. Run under -race (make race) it is the check that no
+// pooled wire buffer goes back to the pool — on return or on the fault
+// site's panic — while anything still reads or writes it.
+func TestConcurrentRepliesMatchReference(t *testing.T) {
+	g := graph.New("echo")
+	b := g.Ctx.NewDim("B")
+	g.Ctx.DeclareRange(b, 1, 1024)
+	x := g.Parameter("x", tensor.F32, symshape.Shape{b, g.Ctx.StaticDim(64)})
+	g.SetOutputs(g.Add(x, g.ConstScalar(0.25)))
+	repo := t.TempDir()
+	writeVersion(t, repo, "echo", "1", g)
+	inj := faultinject.New(7).Arm(faultinject.SiteHTTPWrite, faultinject.ModeError, 0.2)
+	fx := newFixture(t, fixtureOpts{repo: repo, faults: inj})
+
+	type exchange struct{ body, want []byte }
+	var kinds []exchange
+	for _, batch := range []int{1, 1000} {
+		in := tensor.RandN(tensor.NewRNG(uint64(batch)), 0.5, batch, 64)
+		var resp *serve.Response
+		for range 2 { // the second answer is the steady state: a cache hit
+			var err error
+			if resp, err = fx.srv.Infer(context.Background(), &serve.Request{Model: "echo:1", Inputs: []*tensor.Tensor{in}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := encodeRef("echo", "1", "", resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, exchange{f32Request(t, []int64{int64(batch), 64}, in.F32()), want})
+	}
+	if n := len(kinds[1].want); n < 600<<10 {
+		t.Fatalf("large reply is only %d bytes", n)
+	}
+
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 3, MaxIdleConnsPerHost: 3}}
+	defer client.CloseIdleConnections()
+	const workers, perWorker = 4, 10
+	var ok, aborted atomic.Int32
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < perWorker; i++ {
+				k := kinds[(w+i)%2]
+				resp, err := client.Post(fx.ts.URL+"/v2/models/echo/infer", "application/json", bytes.NewReader(k.body))
+				if err != nil {
+					aborted.Add(1) // the http-write site tore the connection down
+					continue
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					aborted.Add(1)
+					continue
+				}
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(got, k.want) {
+					errs <- fmt.Errorf("worker %d request %d: status %d, %d reply bytes differ from the reference's %d",
+						w, i, resp.StatusCode, len(got), len(k.want))
+					return
+				}
+				ok.Add(1)
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok.Load() == 0 || aborted.Load() == 0 {
+		t.Fatalf("want both served and aborted replies, got %d ok, %d aborted (injector fired %d times)",
+			ok.Load(), aborted.Load(), inj.Total())
 	}
 }

@@ -1,5 +1,6 @@
-// Hostile-client tests: truncated bodies, mid-body disconnects and
-// stalled (slow-loris) connections on the v2 infer path. The contract:
+// Hostile-client tests: truncated bodies, mid-body disconnects, stalled
+// (slow-loris) connections, lying and cap-straddling body lengths, and
+// inputs that overflow the engine, on the v2 infer path. The contract:
 // such requests die as 4xx or connection teardowns, never count against
 // any version's health, and never leak a governor reservation — the
 // fleet only acquires a version after the body has fully arrived.
@@ -7,12 +8,20 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"godisc/internal/serve"
+	"godisc/internal/tensor"
 )
 
 // hostileFixture is a governed fixture so reservation leaks are visible
@@ -147,5 +156,112 @@ func TestHostileStalledRead(t *testing.T) {
 
 	// The normal listener (no hostile connections) still serves, and
 	// nothing leaked.
+	assertUnharmed(t, fx, before)
+}
+
+// TestHostileLyingContentLength: a Content-Length of a terabyte in front
+// of a ten-byte body sizes nothing — the pooled buffer is pre-sized only
+// from a length the body cap admits — and answers what any truncated body
+// answers.
+func TestHostileLyingContentLength(t *testing.T) {
+	fx := hostileFixture(t)
+	before := fx.gov.Stats().ReservedBytes
+
+	conn := dialFleet(t, fx.ts)
+	defer conn.Close()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := conn.Write([]byte("POST /v2/models/alpha/infer HTTP/1.1\r\n" +
+		"Host: fleet\r\nContent-Type: application/json\r\nContent-Length: 1099511627776\r\n\r\n" +
+		`{"inputs":`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading response to a lying Content-Length: %v", err)
+	}
+	defer resp.Body.Close()
+	runtime.ReadMemStats(&m1)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("lying Content-Length answered %d, want 400", resp.StatusCode)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("a 10-byte body allocated %d bytes", grew)
+	}
+	assertUnharmed(t, fx, before)
+}
+
+// TestHostileBodyAtTheCap: a body of exactly MaxBodyBytes is served, one
+// byte more is 413 — with a declared length and chunked alike (the chunked
+// upload also walks the buffer's grow-as-you-read path).
+func TestHostileBodyAtTheCap(t *testing.T) {
+	const maxBody = 2048
+	fx := newFixture(t, fixtureOpts{budget: 1 << 20, maxBody: maxBody})
+	before := fx.gov.Stats().ReservedBytes
+
+	body := f32Request(t, []int64{2, 8}, randInput(1, 2, 8))
+	atCap := append(body, bytes.Repeat([]byte(" "), maxBody-len(body))...)
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool
+		want    int
+	}{
+		{"at the cap", atCap, false, http.StatusOK},
+		{"at the cap, chunked", atCap, true, http.StatusOK},
+		{"one byte over", append(atCap[:maxBody:maxBody], ' '), false, http.StatusRequestEntityTooLarge},
+		{"one byte over, chunked", append(atCap[:maxBody:maxBody], ' '), true, http.StatusRequestEntityTooLarge},
+	} {
+		var rd io.Reader = bytes.NewReader(tc.body)
+		if tc.chunked {
+			rd = io.NopCloser(rd) // hides the length: the client sends chunked
+		}
+		resp, err := http.Post(fx.ts.URL+"/v2/models/alpha/infer", "application/json", rd)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d (%.200s)", tc.name, resp.StatusCode, tc.want, payload)
+		}
+		assertUnharmed(t, fx, before)
+	}
+}
+
+// TestHostileNonFiniteOutput: inputs that drive the engine to ±Inf/NaN get
+// the status and the JSON error envelope the encoding/json reply path gave
+// them — decided before the first reply byte, so never a partial 200.
+func TestHostileNonFiniteOutput(t *testing.T) {
+	fx := hostileFixture(t)
+	before := fx.gov.Stats().ReservedBytes
+
+	huge := make([]float32, 16)
+	for i := range huge {
+		huge[i] = 3e38
+	}
+	direct, err := fx.srv.Infer(context.Background(), &serve.Request{Model: "alpha:1",
+		Inputs: []*tensor.Tensor{tensor.FromF32(append([]float32(nil), huge...), 2, 8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := encodeRef("alpha", "1", "", direct)
+	if werr == nil {
+		t.Fatalf("fixture premise: 3e38 inputs must overflow, got %v", direct.Outputs[0])
+	}
+	want, _ := json.Marshal(map[string]string{"error": werr.Error()})
+
+	code, payload := fx.do(t, http.MethodPost, "/v2/models/alpha/versions/1/infer",
+		f32Request(t, []int64{2, 8}, huge), nil)
+	if code != StatusFor(werr) || code != http.StatusInternalServerError {
+		t.Fatalf("non-finite output answered %d, want %d", code, StatusFor(werr))
+	}
+	if string(payload) != string(want)+"\n" {
+		t.Fatalf("error envelope differs\n got %q\nwant %q", payload, want)
+	}
 	assertUnharmed(t, fx, before)
 }

@@ -1,5 +1,5 @@
 // Rollout controller tests: canary promotion, automatic rollback with
-// quarantine, shadow-mode bit-wise comparison, half-open probe recovery,
+// quarantine, shadow-mode bit-wise tensor comparison, half-open probe recovery,
 // and the chaos acceptance run (a broken canary under HTTP + kernel
 // faults must be rolled back with zero wrong answers and zero 5xx on the
 // stable version).
@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -16,6 +17,10 @@ import (
 	"time"
 
 	"godisc/internal/faultinject"
+	"godisc/internal/graph"
+	"godisc/internal/serve"
+	"godisc/internal/symshape"
+	"godisc/internal/tensor"
 )
 
 // rolloutRepo builds a single-model repository holding only alpha/1, so
@@ -211,6 +216,51 @@ func TestShadowMismatchRollsBack(t *testing.T) {
 	}
 	if st := alphaStatus(t, fx, "2"); st.State != StateQuarantined {
 		t.Fatalf("mismatched canary state = %s, want QUARANTINED", st.State)
+	}
+}
+
+// TestShadowSignedZeroMismatch: the shadow verdict compares tensors bit
+// for bit, so a canary answering -0 wherever the stable version answers
+// +0 — numerically equal everywhere — is still a mismatch.
+func TestShadowSignedZeroMismatch(t *testing.T) {
+	zeros := func(name string, negate bool) *graph.Graph {
+		g := graph.New(name)
+		b := g.Ctx.NewDim("B")
+		g.Ctx.DeclareRange(b, 1, 64)
+		x := g.Parameter("x", tensor.F32, symshape.Shape{b, g.Ctx.StaticDim(8)})
+		y := g.Mul(g.Mul(x, x), g.ConstScalar(0)) // x² · 0 = +0
+		if negate {
+			y = g.Neg(y)
+		}
+		g.SetOutputs(y)
+		return g
+	}
+	repo := t.TempDir()
+	writeVersion(t, repo, "alpha", "1", zeros("alpha-zero", false))
+	fx := newFixture(t, fixtureOpts{repo: repo, rollout: RolloutConfig{
+		Enabled: true, Shadow: true, CanaryFraction: 1, PromoteAfter: 3,
+		MinSamples: 2, ProbeCooldown: time.Hour,
+	}})
+	writeVersion(t, repo, "alpha", "2", zeros("alpha-negzero", true))
+	loadAlpha(t, fx)
+
+	got := fx.infer(t, "alpha", "", 2, nil)
+	if want := "[" + strings.Repeat("0,", 15) + "0]"; got.ModelVersion != "1" || string(got.Outputs[0].Data) != want {
+		t.Fatalf("client got version %s data %s, want stable 1 and %s", got.ModelVersion, got.Outputs[0].Data, want)
+	}
+	if rs := fx.f.RolloutStats(); rs.ShadowMismatches != 1 || rs.ShadowMatches != 0 || rs.RolledBack != 1 {
+		t.Fatalf("-0 against +0 must count as a mismatch and roll back: %+v", rs)
+	}
+	// The canary really did answer -0 (not something cruder).
+	resp, err := fx.srv.Infer(context.Background(), &serve.Request{Model: "alpha:2",
+		Inputs: []*tensor.Tensor{tensor.FromF32(randInput(3, 1, 8), 1, 8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range resp.Outputs[0].F32() {
+		if v != 0 || !math.Signbit(float64(v)) {
+			t.Fatalf("canary element %d = %v, want -0", i, v)
+		}
 	}
 }
 

@@ -26,12 +26,12 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"slices"
@@ -95,6 +95,10 @@ type Fleet struct {
 	reg *obs.Registry
 	mux *http.ServeMux
 
+	// bufs pools the infer path's wire buffers (*[]byte): one per request,
+	// holding first the body and then the reply (handleInfer).
+	bufs sync.Pool
+
 	mu     sync.Mutex
 	models map[string]*fleetModel
 	closed bool
@@ -133,6 +137,7 @@ func New(cfg Config) (*Fleet, error) {
 		srv:      cfg.Server,
 		gov:      cfg.Governor,
 		reg:      cfg.Metrics,
+		bufs:     sync.Pool{New: func() any { return new([]byte) }},
 		models:   map[string]*fleetModel{},
 		rollouts: map[string]*rollout{},
 	}
@@ -515,10 +520,10 @@ func (f *Fleet) stateOf(mv *modelVersion) string {
 }
 
 // runShadow mirrors a stable response's inputs onto the canary and
-// compares the wire encodings bit-wise. The client's response is already
+// compares the output tensors bit-wise. The client's response is already
 // decided; this only feeds the rollout verdict (shadowResult). A canary
 // that was rolled back mid-request simply skips the comparison.
-func (f *Fleet) runShadow(ctx context.Context, canary *modelVersion, inputs []*tensor.Tensor, prio serve.Priority, stableOut []InferTensor) {
+func (f *Fleet) runShadow(ctx context.Context, canary *modelVersion, inputs []*tensor.Tensor, prio serve.Priority, stable []*tensor.Tensor) {
 	if err := f.acquireFor(ctx, canary, false); err != nil {
 		return
 	}
@@ -527,18 +532,51 @@ func (f *Fleet) runShadow(ctx context.Context, canary *modelVersion, inputs []*t
 	if err != nil {
 		return // the outcome hook already recorded the failure
 	}
-	match := len(resp.Outputs) == len(stableOut)
-	if match {
-		for i, t := range resp.Outputs {
-			wt, err := encodeTensor(stableOut[i].Name, t)
-			if err != nil || !slices.Equal(wt.Shape, stableOut[i].Shape) ||
-				!bytes.Equal(wt.Data, stableOut[i].Data) {
-				match = false
-				break
+	f.shadowResult(canary.model, canary.version, slices.EqualFunc(resp.Outputs, stable, sameBits))
+}
+
+// sameBits reports whether two tensors agree in dtype, shape and every
+// element's bit pattern (so -0 differs from 0). handleInfer shadows only
+// after the stable outputs encoded, i.e. are finite, so a NaN or ±Inf in
+// the canary can never compare equal.
+func sameBits(a, b *tensor.Tensor) bool {
+	if a.DType() != b.DType() || !tensor.ShapeEq(a.Shape(), b.Shape()) {
+		return false
+	}
+	switch a.DType() {
+	case tensor.F32:
+		return slices.EqualFunc(a.F32(), b.F32(), func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y)
+		})
+	case tensor.I32:
+		return slices.Equal(a.I32(), b.I32())
+	case tensor.Bool:
+		return slices.Equal(a.Bools(), b.Bools())
+	}
+	return false
+}
+
+// readBody reads r to EOF into buf's storage, growing it as io.ReadAll
+// would. A positive hint (the declared Content-Length) sizes the buffer
+// once, with a byte to spare so the read that meets EOF never grows it.
+func readBody(r io.Reader, buf []byte, hint int64) ([]byte, error) {
+	buf = buf[:0]
+	if need := max(hint+1, 512); int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
 			}
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
 	}
-	f.shadowResult(canary.model, canary.version, match)
 }
 
 func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
@@ -569,7 +607,25 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("fleet: reading body: %v", ferr)})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
+	// One pooled buffer serves the whole exchange: it holds the body until
+	// DecodeInferRequest — whose results never alias it — returns, then the
+	// reply until the single Write at the bottom. The deferred Put covers
+	// every exit, the http-write site's panic included: net/http keeps no
+	// reference to a slice once Write has returned. A Content-Length the
+	// body cap already refuses sizes nothing, and a buffer that outgrew the
+	// cap is left to the collector rather than pinned in the pool.
+	buf := f.bufs.Get().(*[]byte)
+	defer func() {
+		if int64(cap(*buf)) <= f.cfg.MaxBodyBytes {
+			f.bufs.Put(buf)
+		}
+	}()
+	hint := r.ContentLength
+	if hint > f.cfg.MaxBodyBytes {
+		hint = 0
+	}
+	body, err := readBody(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes), *buf, hint)
+	*buf = body
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -629,30 +685,14 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, err)
 		return
 	}
-	out := InferResponse{ModelName: mv.model, ModelVersion: mv.version, ID: req.ID}
-	for i, t := range resp.Outputs {
-		wt, err := encodeTensor(fmt.Sprintf("output_%d", i), t)
-		if err != nil {
-			f.fail(w, err)
-			return
-		}
-		out.Outputs = append(out.Outputs, wt)
+	reply, err := appendInferResponse(body[:0], mv.model, mv.version, req.ID, resp)
+	if err != nil {
+		f.fail(w, err)
+		return
 	}
-	params := map[string]any{}
-	if resp.CacheHit {
-		params["cache_hit"] = true
-	}
-	if resp.Fallback {
-		params["fallback"] = true
-	}
-	if resp.Batched {
-		params["batched"] = true
-	}
-	if len(params) > 0 {
-		out.Parameters = params
-	}
+	*buf = reply
 	if rt.shadow != nil {
-		f.runShadow(ctx, rt.shadow, inputs, prio, out.Outputs)
+		f.runShadow(ctx, rt.shadow, inputs, prio, resp.Outputs)
 	}
 	// The http-write site fires after the response is fully decided: an
 	// injected error aborts the connection mid-response (the client sees
@@ -661,5 +701,8 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if ferr := f.cfg.Faults.Check(faultinject.SiteHTTPWrite); ferr != nil {
 		panic(http.ErrAbortHandler)
 	}
-	writeJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(reply)
 }
