@@ -125,6 +125,11 @@ func TestServeObservabilityEndToEnd(t *testing.T) {
 			"godisc_worker_pool_size",
 			`godisc_faults_total{mode="panic",site="kernel-launch"}`,
 			"godisc_pool_in_use_elems",
+			"godisc_go_heap_live_bytes",
+			"godisc_go_heap_objects",
+			"godisc_go_goroutines",
+			"godisc_go_gc_cycles_total",
+			"godisc_go_gc_cpu_fraction",
 		} {
 			if !strings.Contains(body, series) {
 				t.Errorf("/metrics missing series %q", series)

@@ -201,6 +201,7 @@ type compileConfig struct {
 	hook                  obs.Hook
 	metrics               *Metrics
 	governor              *ral.Governor
+	bufferPool            *ral.Pool
 	cacheDir              string
 }
 
@@ -315,8 +316,16 @@ type (
 // traces (obs.DefaultTraceLimit when limit <= 0).
 func NewTracer(limit int) *Tracer { return obs.NewTracer(limit) }
 
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics { return obs.NewRegistry() }
+// NewMetrics returns a metrics registry that already carries the Go
+// runtime's own series — godisc_go_heap_live_bytes, _heap_objects,
+// _goroutines, _gc_cycles_total and _gc_cpu_fraction, read on scrape
+// only — so a server's /metrics shows the process's heap and collector
+// work next to its serving counters.
+func NewMetrics() *Metrics {
+	reg := obs.NewRegistry()
+	observeRuntime(reg)
+	return reg
+}
 
 // WithTracer threads an observer into the compiled engine: each Run opens
 // an `exec` span (under the request span, when serving) with per-unit
@@ -326,8 +335,9 @@ func WithTracer(h Observer) Option {
 	return func(c *compileConfig) { c.hook = h }
 }
 
-// WithMetrics registers the engine's execution counters and buffer-pool
-// gauges on reg. A nil registry is a no-op.
+// WithMetrics registers the engine's execution counters on reg. A nil
+// registry is a no-op. Buffer-pool gauges are per server: NewServer
+// publishes its one pool on ServerConfig.Metrics.
 func WithMetrics(reg *Metrics) Option {
 	return func(c *compileConfig) { c.metrics = reg }
 }
@@ -429,6 +439,7 @@ func CompileWith(g *Graph, opts ...Option) (*Engine, error) {
 	eo.Hook = cfg.hook
 	eo.Metrics = cfg.metrics
 	eo.Governor = cfg.governor
+	eo.Pool = cfg.bufferPool
 	exe, err := exec.Compile(g, plan, dev, eo)
 	if err != nil {
 		return nil, fmt.Errorf("godisc: code generation: %w: %w", err, discerr.ErrCompileFailed)
@@ -589,6 +600,7 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 				eo.Metrics = cfg.Metrics
 			}
 			eo.Governor = srv.Governor()
+			eo.Pool = srv.BufferPool()
 			return exec.DecodeImage(payload, dev, eo)
 		}
 	}
@@ -622,14 +634,19 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 			copts = append(copts, WithMetrics(cfg.Metrics))
 		}
 		// Every engine reserves its per-run footprint against the server's
-		// shared memory budget (nil governor = ungoverned, zero cost).
-		copts = append(copts, withGovernor(srv.Governor()))
+		// shared memory budget (nil governor = ungoverned, zero cost) and
+		// draws its buffers from the server's one pool.
+		copts = append(copts, withGovernor(srv.Governor()),
+			func(c *compileConfig) { c.bufferPool = srv.BufferPool() })
 		eng, err := CompileWith(g, copts...)
 		if err != nil {
 			return nil, err
 		}
 		return eng.exe, nil
 	})
+	// The shared buffer pool probes the alloc fault site with the same
+	// injector the engines' compile and kernel-launch sites use.
+	srv.BufferPool().SetFaults(rcfg.faults)
 	if cfg.Metrics != nil {
 		srv.WorkerPool().Observe(cfg.Metrics)
 	}

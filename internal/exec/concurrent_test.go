@@ -10,6 +10,7 @@ import (
 	"godisc/internal/discerr"
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
+	"godisc/internal/ral"
 	"godisc/internal/symshape"
 	"godisc/internal/tensor"
 )
@@ -91,6 +92,94 @@ func TestConcurrentRunMatchesReference(t *testing.T) {
 	}
 	if st.Reuses == 0 {
 		t.Fatal("concurrent steady-state runs must reuse pooled buffers")
+	}
+}
+
+// TestSharedPoolAcrossEngines: two different engines drawing from one
+// Options.Pool — how a server wires every engine it loads — run
+// concurrently and stay bit-identical to the same graphs compiled with
+// private pools. Afterwards the shared pool has nothing checked out, and
+// steady-state runs of either engine reuse the other's freed buffers.
+func TestSharedPoolAcrossEngines(t *testing.T) {
+	shared := ral.NewPool()
+	sharedOpts := DefaultOptions()
+	sharedOpts.Pool = shared
+	parallelShared := sharedOpts
+	parallelShared.Workers = 2
+	mk := func(build func(*graph.Graph), opts Options) *Executable {
+		g := graph.New("shared-pool")
+		build(g)
+		return compileOpts(t, g, opts)
+	}
+	type model struct {
+		private, shared *Executable
+		input           func(r *tensor.RNG, i int) *tensor.Tensor
+	}
+	models := []model{
+		{mk(buildServingModelGraph, DefaultOptions()), mk(buildServingModelGraph, sharedOpts),
+			func(r *tensor.RNG, i int) *tensor.Tensor { return tensor.RandN(r, 1, 1+i%4, 1+(7*i)%40, 16) }},
+		{mk(buildFootprintModel, DefaultOptions()), mk(buildFootprintModel, parallelShared),
+			func(r *tensor.RNG, i int) *tensor.Tensor { return tensor.RandN(r, 1, 1+(5*i)%64, 32) }},
+	}
+	for _, m := range models {
+		if m.shared.Pool != shared || m.private.Pool == shared {
+			t.Fatal("Options.Pool not honoured: engines must draw from the pool they were given")
+		}
+	}
+
+	type testCase struct {
+		m    model
+		in   *tensor.Tensor
+		want []*tensor.Tensor
+	}
+	r := tensor.NewRNG(5)
+	var cases []testCase
+	for i := 0; i < 12; i++ {
+		m := models[i%len(models)]
+		in := m.input(r, i)
+		res, err := m.private.Run([]*tensor.Tensor{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, testCase{m: m, in: in, want: res.Outputs})
+	}
+
+	const goroutines = 8
+	const itersPerGoroutine = 12
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for gi := 0; gi < goroutines; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for it := 0; it < itersPerGoroutine; it++ {
+				tc := cases[(gi+it)%len(cases)]
+				res, err := tc.m.shared.RunContext(context.Background(), []*tensor.Tensor{tc.in})
+				if err != nil {
+					errc <- err
+					return
+				}
+				for oi, want := range tc.want {
+					if !bitEqual(res.Outputs[oi].F32(), want.F32()) {
+						errc <- fmt.Errorf("goroutine %d iter %d output %d: shared-pool run differs from private-pool run", gi, it, oi)
+						return
+					}
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	st := shared.Stats()
+	if st.InUseElems != 0 {
+		t.Fatalf("shared pool has %d elems outstanding after all runs", st.InUseElems)
+	}
+	if st.Reuses == 0 {
+		t.Fatal("engines sharing a pool never reused a buffer")
 	}
 }
 

@@ -61,8 +61,9 @@ type Options struct {
 	// with per-unit kernel/library children and per-chunk partition
 	// children. Nil keeps the hot path at a single pointer-nil branch.
 	Hook obs.Hook
-	// Metrics, when non-nil, registers this engine's execution counters
-	// and buffer-pool gauges.
+	// Metrics, when non-nil, registers this engine's execution counters.
+	// Buffer-pool gauges belong to the pool's owner (Pool.Observe), not
+	// to the engines drawing from it.
 	Metrics *obs.Registry
 	// Governor, when non-nil, enforces a global memory budget: every run
 	// reserves its peak pooled-buffer footprint (see footprint.go) before
@@ -70,6 +71,12 @@ type Options struct {
 	// discerr.ErrMemoryBudget. One governor is shared by every engine
 	// under the same budget.
 	Governor *ral.Governor
+	// Pool, when non-nil, is the buffer pool every run draws its pooled
+	// intermediates from, shared by every engine handed the same pool (one
+	// per serving process, like BladeDISC's RAL allocator). Its fault
+	// injector and metrics are the owner's to set. Nil gives the engine a
+	// private pool probed by Faults.
+	Pool *ral.Pool
 }
 
 // DefaultOptions mirrors the BladeDISC configuration. Execution stays
@@ -124,7 +131,8 @@ type Executable struct {
 	// reserve its peak usage against Options.Governor up front.
 	fp *footprintPlan
 
-	// Pool provides intermediate buffers across runs.
+	// Pool provides intermediate buffers across runs: Options.Pool when
+	// the caller shares one, else the engine's private pool.
 	Pool *ral.Pool
 
 	// maxFP/maxFPOK cache MaxFootprintBytes. Engines decoded from a
@@ -147,18 +155,15 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	if err := opts.Faults.Check(faultinject.SiteCompile); err != nil {
 		return nil, fmt.Errorf("exec: compiling %s: %w", g.Name, err)
 	}
-	if opts.Workers > 1 && opts.WorkerPool == nil {
-		opts.WorkerPool = NewWorkerPool(opts.Workers)
-	}
+	opts = opts.withPools()
 	e := &Executable{
 		Graph:     g,
 		Plan:      plan,
 		Dev:       dev,
 		opts:      opts,
 		constBufs: map[*graph.Node][]float32{},
-		Pool:      ral.NewPool(),
+		Pool:      opts.Pool,
 	}
-	e.Pool.SetFaults(opts.Faults)
 	for _, n := range g.Toposort() {
 		if n.Kind == graph.OpConstant {
 			buf, err := flatten(n.Lit)
@@ -192,9 +197,21 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	if reg := opts.Metrics; reg != nil {
 		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
 		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
-		e.Pool.Observe(reg, obs.L("graph", g.Name))
 	}
 	return e, nil
+}
+
+// withPools fills in the private worker and buffer pools an engine gets
+// when its caller shares none.
+func (opts Options) withPools() Options {
+	if opts.Workers > 1 && opts.WorkerPool == nil {
+		opts.WorkerPool = NewWorkerPool(opts.Workers)
+	}
+	if opts.Pool == nil {
+		opts.Pool = ral.NewPool()
+		opts.Pool.SetFaults(opts.Faults)
+	}
+	return opts
 }
 
 // compileShapes builds the host shape program and every unit's compiled

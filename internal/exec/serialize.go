@@ -27,7 +27,6 @@ import (
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
 	"godisc/internal/kir"
-	"godisc/internal/ral"
 	"godisc/internal/tensor"
 
 	"godisc/internal/obs"
@@ -271,9 +270,7 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 		return nil, err
 	}
 
-	if opts.Workers > 1 && opts.WorkerPool == nil {
-		opts.WorkerPool = NewWorkerPool(opts.Workers)
-	}
+	opts = opts.withPools()
 	opts.HostDispatchNs = img.HostDispatchNs
 	opts.DisableLivenessPlanning = img.DisableLiveness
 
@@ -298,12 +295,11 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 		nSlots:      img.NSlots,
 		refs0:       img.Refs0,
 		outputSlots: img.OutputSlots,
-		Pool:        ral.NewPool(),
+		Pool:        opts.Pool,
 		maxFP:       img.MaxFP,
 		maxFPOK:     img.MaxFPOK,
 		maxFPSet:    true,
 	}
-	e.Pool.SetFaults(opts.Faults)
 	for _, p := range img.Params {
 		e.paramRefs = append(e.paramRefs, paramRef{slot: p.Slot, param: p.Param})
 	}
@@ -332,7 +328,6 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 	if reg := opts.Metrics; reg != nil {
 		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
 		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
-		e.Pool.Observe(reg, obs.L("graph", g.Name))
 	}
 	return e, nil
 }

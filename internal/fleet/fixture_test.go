@@ -32,15 +32,17 @@ import (
 // tests can assert exactly when the compiler runs (and when the
 // persistent engine cache makes it unnecessary).
 func testCompile(calls *int32) serve.CompileFunc {
-	return testCompileFaults(calls, nil)
+	return testCompileFaults(calls, nil, nil)
 }
 
 // testCompileFaults additionally threads a fault injector into the
 // engines. The saturation test arms a latency-only rule so engine runs
 // genuinely overlap on a single-CPU host (pure-CPU runs shorter than a
 // scheduling quantum otherwise serialize in the Go scheduler and the
-// admission queue never fills).
-func testCompileFaults(calls *int32, inj *faultinject.Injector) serve.CompileFunc {
+// admission queue never fills). A non-nil srv names the server whose
+// buffer pool every engine shares, as in production; it must be bound
+// before the first compile.
+func testCompileFaults(calls *int32, inj *faultinject.Injector, srv **serve.Server) serve.CompileFunc {
 	return func(g *graph.Graph) (serve.Engine, error) {
 		if calls != nil {
 			atomic.AddInt32(calls, 1)
@@ -54,6 +56,9 @@ func testCompileFaults(calls *int32, inj *faultinject.Injector) serve.CompileFun
 		}
 		eo := exec.DefaultOptions()
 		eo.Faults = inj
+		if srv != nil {
+			eo.Pool = (*srv).BufferPool()
+		}
 		return exec.Compile(g, plan, device.A10(), eo)
 	}
 }
@@ -180,6 +185,7 @@ func newFixture(t testing.TB, o fixtureOpts) *fixture {
 		o.maxConcurrent = 8
 	}
 	var compiles int32
+	var srv *serve.Server
 	inj := o.faults
 	if inj == nil && o.kernelLatency > 0 {
 		inj = faultinject.New(1).
@@ -198,6 +204,7 @@ func newFixture(t testing.TB, o fixtureOpts) *fixture {
 		scfg.DecodeEngine = func(payload []byte) (serve.Engine, error) {
 			eo := exec.DefaultOptions()
 			eo.Faults = inj
+			eo.Pool = srv.BufferPool()
 			return exec.DecodeImage(payload, device.A10(), eo)
 		}
 		scfg.EncodeEngine = func(e serve.Engine) ([]byte, error) {
@@ -207,7 +214,7 @@ func newFixture(t testing.TB, o fixtureOpts) *fixture {
 	if o.serveCfg != nil {
 		o.serveCfg(&scfg)
 	}
-	compile := testCompileFaults(&compiles, inj)
+	compile := testCompileFaults(&compiles, inj, &srv)
 	if len(o.breakEngines) > 0 {
 		inner := compile
 		compile = func(g *graph.Graph) (serve.Engine, error) {
@@ -218,7 +225,9 @@ func newFixture(t testing.TB, o fixtureOpts) *fixture {
 			return e, err
 		}
 	}
-	srv := serve.New(scfg, compile)
+	srv = serve.New(scfg, compile)
+	// The shared pool probes the alloc site, like godisc.NewServer's.
+	srv.BufferPool().SetFaults(inj)
 
 	repo := o.repo
 	if repo == "" && !o.noRepo {

@@ -162,7 +162,7 @@ type series struct {
 
 	// funcs are the on-scrape callbacks of a GaugeFunc series; several
 	// registrations on one key are summed at collection (e.g. the pool
-	// gauges of every engine compiled for one graph).
+	// gauges of two servers sharing one registry).
 	mu    sync.Mutex
 	funcs []func() float64
 }
@@ -322,8 +322,10 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 
 // GaugeFunc registers an on-scrape callback for (name, labels). Multiple
 // callbacks on one series are summed at collection time, so independent
-// owners (one buffer pool per compiled engine, say) can contribute to one
-// aggregate series without coordination.
+// owners (two servers sharing one registry, say) can contribute to one
+// aggregate series without coordination. A callback is never removed:
+// register from long-lived owners only, since everything it closes over
+// stays reachable for the registry's lifetime.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil || fn == nil {
 		return

@@ -3,6 +3,7 @@ package ral
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -66,14 +67,10 @@ func TestGovernorBlocksThenGrantsFIFO(t *testing.T) {
 	}
 	order := make(chan int, 2)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 1; i <= 2; i++ {
+	wait := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
-			// Stagger so the FIFO order is deterministic.
-			time.Sleep(time.Duration(i) * 20 * time.Millisecond)
 			r, err := g.Reserve(context.Background(), 100)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
@@ -81,13 +78,14 @@ func TestGovernorBlocksThenGrantsFIFO(t *testing.T) {
 			}
 			order <- i
 			r()
-		}(i)
+		}()
 	}
-	close(start)
-	time.Sleep(80 * time.Millisecond) // both waiters queued
-	if st := g.Stats(); st.Waits != 2 {
-		t.Fatalf("waits = %d, want 2", st.Waits)
-	}
+	// Waiter 2 starts only once waiter 1 is queued, so the FIFO order is
+	// fixed by construction rather than by scheduling luck.
+	wait(1)
+	waitForWaits(t, g, 1)
+	wait(2)
+	waitForWaits(t, g, 2)
 	r1()
 	wg.Wait()
 	if first, second := <-order, <-order; first != 1 || second != 2 {
@@ -95,6 +93,18 @@ func TestGovernorBlocksThenGrantsFIFO(t *testing.T) {
 	}
 	if st := g.Stats(); st.ReservedBytes != 0 || st.HighWaterBytes != 100 {
 		t.Fatalf("final stats: %+v", st)
+	}
+}
+
+// waitForWaits polls until n reservations have queued on g.
+func waitForWaits(t *testing.T, g *Governor, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Stats().Waits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("waits = %d, want %d", g.Stats().Waits, n)
+		}
+		runtime.Gosched()
 	}
 }
 

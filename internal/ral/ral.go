@@ -118,8 +118,10 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Observe registers the pool's accounting as on-scrape gauges on reg.
-// Several pools may observe the same labelled series (one pool per
-// compiled engine of a graph); the registry sums their contributions.
+// The pool's owner calls it once (a server observes its one pool, never
+// the engines drawing from it): the registry keeps every callback, and
+// whatever it closes over, for its own lifetime. Pools observed on one
+// registry are summed into one series.
 func (p *Pool) Observe(reg *obs.Registry, labels ...obs.Label) {
 	if p == nil || reg == nil {
 		return

@@ -34,10 +34,11 @@ func (s *Server) EvictEngine(model, sig string) (evicted, pinned bool) {
 
 // Unregister removes a model's builder: later Infer calls fail with an
 // unknown-model error, while requests already past lookup finish normally
-// on the engine they pinned. The signature's circuit-breaker state is
-// dropped with it. The in-memory engine is NOT evicted here — callers
-// that account engine residency evict explicitly (EvictEngine) so the
-// release of their ledger bytes cannot race in-flight runs.
+// on the engine they pinned. The signature's circuit-breaker state and
+// watchdog latency history are dropped with it. The in-memory engine is
+// NOT evicted here — callers that account engine residency evict
+// explicitly (EvictEngine) so the release of their ledger bytes cannot
+// race in-flight runs.
 func (s *Server) Unregister(model string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -47,7 +48,9 @@ func (s *Server) Unregister(model string) error {
 	}
 	delete(s.models, model)
 	if sig, err := m.signature(); err == nil {
-		delete(s.breakers, model+"@"+sig)
+		key := model + "@" + sig
+		delete(s.breakers, key)
+		s.wd.forget(key)
 	}
 	return nil
 }

@@ -165,6 +165,16 @@ func (wd *watchdog) observe(key string, d time.Duration) {
 	wd.mu.Unlock()
 }
 
+// forget drops key's latency history (its model was unregistered).
+func (wd *watchdog) forget(key string) {
+	if wd == nil {
+		return
+	}
+	wd.mu.Lock()
+	delete(wd.sigs, key)
+	wd.mu.Unlock()
+}
+
 // limit returns the cancellation deadline for one run of key, once the
 // signature has enough history to judge "abnormally slow".
 func (wd *watchdog) limit(key string) (time.Duration, bool) {

@@ -311,6 +311,48 @@ func TestWatchdogErrorWithoutFallback(t *testing.T) {
 	s.Close()
 }
 
+// TestUnregisterDropsWatchdogHistory: unregistering a model drops its
+// signature's watchdog entry with the breaker, so version churn leaves no
+// per-name residue and a re-registered model starts with no envelope.
+func TestUnregisterDropsWatchdogHistory(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, WatchdogMultiple: 3},
+		func(*graph.Graph) (Engine, error) {
+			return engineFunc(func(context.Context, []*tensor.Tensor) (*exec.Result, error) { return okResult() }), nil
+		})
+	defer s.Close()
+	if err := s.Register("m", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	sig, err := s.ModelSignature("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := mlpInput(t, 2)
+	for i := 0; i < watchdogMinSamples; i++ {
+		if _, err := s.Infer(context.Background(), &Request{Model: "m", Inputs: []*tensor.Tensor{in}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, armed := s.wd.limit("m@" + sig); !armed {
+		t.Fatal("watchdog not armed after warm-up runs")
+	}
+	if err := s.Unregister("m"); err != nil {
+		t.Fatal(err)
+	}
+	s.wd.mu.Lock()
+	n := len(s.wd.sigs)
+	s.wd.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("watchdog keeps %d entries after Unregister, want 0", n)
+	}
+	if err := s.Register("m", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	if _, armed := s.wd.limit("m@" + sig); armed {
+		t.Fatal("re-registered model inherited the old watchdog envelope")
+	}
+}
+
 // TestMemoryBudgetRejectionThroughServer: a server whose governor cannot
 // fit a run's footprint rejects with ErrMemoryBudget — no retry, breaker
 // penalty or fallback — and the rejection taxonomy records it.

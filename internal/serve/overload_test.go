@@ -17,12 +17,13 @@ import (
 	"godisc/internal/tensor"
 )
 
-// governedCompile compiles for real with the server's governor threaded
-// into the exec options and a kernel-latency fault armed, so every run
-// holds its pool buffers for a realistic service time (without the
-// latency the tiny test kernels finish in microseconds and concurrent
-// runs never actually overlap in the allocator). The compiled executable
-// is captured through exe so the test can sample its pool.
+// governedCompile compiles for real with the server's governor and
+// buffer pool threaded into the exec options — the production
+// configuration — and a kernel-latency fault armed, so every run holds
+// its pool buffers for a realistic service time (without the latency the
+// tiny test kernels finish in microseconds and concurrent runs never
+// actually overlap in the allocator). A non-nil exe captures the compiled
+// executable so the test can size footprints.
 func governedCompile(sp **Server, exe **exec.Executable, mu *sync.Mutex, kernelDelay time.Duration) CompileFunc {
 	return func(g *graph.Graph) (Engine, error) {
 		if _, err := opt.Default().Run(g); err != nil {
@@ -35,15 +36,18 @@ func governedCompile(sp **Server, exe **exec.Executable, mu *sync.Mutex, kernelD
 		eo := exec.DefaultOptions()
 		eo.Workers = 1
 		eo.Governor = (*sp).Governor()
+		eo.Pool = (*sp).BufferPool()
 		eo.Faults = faultinject.New(11).
 			ArmLatency(faultinject.SiteKernelLaunch, faultinject.ModeLatency, 1, kernelDelay)
 		e, err := exec.Compile(g, plan, device.A10(), eo)
 		if err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		*exe = e
-		mu.Unlock()
+		if exe != nil {
+			mu.Lock()
+			*exe = e
+			mu.Unlock()
+		}
 		return e, nil
 	}
 }
@@ -119,7 +123,7 @@ func TestOverloadBudgetAndPriorities(t *testing.T) {
 		t.Fatalf("unbounded phase had %d errors, first: %v", ec[PriorityBatch+1], errs[0])
 	}
 	exeMu.Lock()
-	unboundedPeakBytes := 4 * exe1.Pool.Stats().PeakElems
+	unboundedPeakBytes := 4 * s1.BufferPool().Stats().PeakElems
 	singleFp, fpErr := exe1.FootprintBytes([][]int{{batch, 12}})
 	exeMu.Unlock()
 	s1.Close()
@@ -135,10 +139,9 @@ func TestOverloadBudgetAndPriorities(t *testing.T) {
 
 	// Phase 2: same load, mixed priorities, budget = half the unbounded
 	// peak, tight queue so admission control has to work.
-	var exe2 *exec.Executable
 	var s2 *Server
 	s2 = New(Config{MaxConcurrent: slots, QueueDepth: slots, MemoryBudgetBytes: budget},
-		governedCompile(&s2, &exe2, &exeMu, kernelDelay))
+		governedCompile(&s2, nil, nil, kernelDelay))
 	if err := s2.Register("m", buildMLP); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +149,8 @@ func TestOverloadBudgetAndPriorities(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Live sampler: the pool's in-use bytes must stay within budget at
-	// every instant, not just at the high-water mark.
+	// Live sampler: the server pool's in-use bytes must stay within budget
+	// at every instant, not just at the high-water mark.
 	stop := make(chan struct{})
 	var worstOver atomic.Int64
 	var samplerWg sync.WaitGroup
@@ -160,9 +163,7 @@ func TestOverloadBudgetAndPriorities(t *testing.T) {
 				return
 			default:
 			}
-			exeMu.Lock()
-			used := 4 * exe2.Pool.Stats().InUseElems
-			exeMu.Unlock()
+			used := 4 * s2.BufferPool().Stats().InUseElems
 			if used > budget && used > worstOver.Load() {
 				worstOver.Store(used)
 			}
@@ -229,6 +230,9 @@ func TestOverloadBudgetAndPriorities(t *testing.T) {
 	}
 	if st.Failed != 0 || st.Canceled != 0 {
 		t.Fatalf("overload must reject cleanly, not fail: %s", st)
+	}
+	if ps := s2.BufferPool().Stats(); ps.InUseElems != 0 {
+		t.Fatalf("server pool holds %d elems after the load drained", ps.InUseElems)
 	}
 	total := reqs[0] + reqs[1] + reqs[2]
 	if st.Requests != total || st.Completed+st.Rejected != total {

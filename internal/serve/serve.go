@@ -175,8 +175,8 @@ type Config struct {
 	// stays unchanged. Nil keeps the request path free of span work.
 	Observer obs.Hook
 	// Metrics, when non-nil, is the registry the serving counters,
-	// latency histograms and queue gauges register on (served by
-	// discserve at /metrics). Nil gives the server a private registry so
+	// latency histograms, queue gauges and the buffer pool's gauges
+	// register on (served by discserve at /metrics). Nil gives the server a private registry so
 	// the Stats API works regardless.
 	Metrics *obs.Registry
 }
@@ -257,6 +257,9 @@ type Server struct {
 	// pool is the server-wide execution worker pool shared by every
 	// compiled engine (nil when Workers resolves to 1).
 	pool *exec.WorkerPool
+	// bufs is the server-wide buffer pool every engine draws its pooled
+	// intermediates from (see BufferPool).
+	bufs *ral.Pool
 
 	mu       sync.Mutex
 	models   map[string]*modelEntry
@@ -387,6 +390,7 @@ func New(cfg Config, compile CompileFunc) *Server {
 		compile:     compile,
 		cache:       ral.NewCache(),
 		pool:        pool,
+		bufs:        ral.NewPool(),
 		models:      map[string]*modelEntry{},
 		breakers:    map[string]*breaker{},
 		compileSem:  make(chan struct{}, cfg.CompileWorkers),
@@ -399,6 +403,7 @@ func New(cfg Config, compile CompileFunc) *Server {
 		stats:       stats,
 	}
 	s.gov.Observe(cfg.Metrics)
+	s.bufs.Observe(cfg.Metrics)
 	if cfg.MaxBatchSize > 1 {
 		s.batch = newBatcher(s)
 	}
@@ -417,6 +422,14 @@ func (s *Server) Governor() *ral.Governor { return s.gov }
 // exec.Options.WorkerPool so concurrent requests multiplex one bounded
 // set of helper goroutines instead of spawning Workers-1 each.
 func (s *Server) WorkerPool() *exec.WorkerPool { return s.pool }
+
+// BufferPool returns the server-wide buffer pool that every compiled
+// engine should draw its intermediates from — BladeDISC's one RAL
+// allocator per process. Compile and decode functions thread it into
+// exec.Options.Pool, so an evicted or unloaded engine leaves nothing
+// behind but free buffers the next engine reuses. Its fault injector is
+// the caller's to set (godisc.NewServer arms it with the server's).
+func (s *Server) BufferPool() *ral.Pool { return s.bufs }
 
 // SetOutcomeHook installs fn to receive one OutcomeEvent per Infer call,
 // after the request fully resolves. The hook runs on the request

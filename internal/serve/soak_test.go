@@ -57,8 +57,6 @@ func TestSoakGovernedOverload(t *testing.T) {
 		ArmLatency(faultinject.SiteKernelLaunch, faultinject.ModeLatency, 1, 500*time.Microsecond).
 		Arm(faultinject.SiteAlloc, faultinject.ModeTransient, 0.02)
 
-	var exeMu sync.Mutex
-	var exe *exec.Executable
 	var s *Server
 	compile := func(g *graph.Graph) (Engine, error) {
 		if _, err := opt.Default().Run(g); err != nil {
@@ -71,15 +69,9 @@ func TestSoakGovernedOverload(t *testing.T) {
 		eo := exec.DefaultOptions()
 		eo.Workers = 1
 		eo.Governor = s.Governor()
+		eo.Pool = s.BufferPool()
 		eo.Faults = inj
-		e, err := exec.Compile(g, plan, device.A10(), eo)
-		if err != nil {
-			return nil, err
-		}
-		exeMu.Lock()
-		exe = e
-		exeMu.Unlock()
-		return e, nil
+		return exec.Compile(g, plan, device.A10(), eo)
 	}
 
 	// Size the budget from a probe compile of the same model: 3× the
@@ -121,6 +113,7 @@ func TestSoakGovernedOverload(t *testing.T) {
 		MemoryBudgetBytes: budget,
 	}, compile)
 	defer s.Close()
+	s.BufferPool().SetFaults(inj)
 	for _, name := range []string{"m", "side"} {
 		if err := s.Register(name, buildMLP); err != nil {
 			t.Fatal(err)
@@ -130,7 +123,8 @@ func TestSoakGovernedOverload(t *testing.T) {
 		}
 	}
 
-	// Budget sampler: live pool usage must never exceed the budget.
+	// Budget sampler: live usage of the pool both models share must never
+	// exceed the budget.
 	stopSample := make(chan struct{})
 	var worstOver atomic.Int64
 	var samplerWg sync.WaitGroup
@@ -143,9 +137,7 @@ func TestSoakGovernedOverload(t *testing.T) {
 				return
 			default:
 			}
-			exeMu.Lock()
-			used := 4 * exe.Pool.Stats().InUseElems
-			exeMu.Unlock()
+			used := 4 * s.BufferPool().Stats().InUseElems
 			if used > budget && used > worstOver.Load() {
 				worstOver.Store(used)
 			}
@@ -225,6 +217,9 @@ func TestSoakGovernedOverload(t *testing.T) {
 	}
 	if st.MemReservedBytes != 0 {
 		t.Fatalf("governor leaked %dB of reservations after drain", st.MemReservedBytes)
+	}
+	if ps := s.BufferPool().Stats(); ps.InUseElems != 0 {
+		t.Fatalf("server pool holds %d elems after drain", ps.InUseElems)
 	}
 	if n := failedTaxonomy; n != 0 {
 		t.Fatalf("%d errors escaped the taxonomy; first: %v", n, firstBad)
