@@ -21,7 +21,8 @@ test:
 race:
 	go test -race ./internal/serve ./internal/exec ./internal/ral ./internal/workload \
 		./internal/obs ./internal/opt ./internal/fusion ./internal/faultinject \
-		./internal/enginecache ./internal/kir ./internal/fleet .
+		./internal/enginecache ./internal/kir ./internal/fleet \
+		./internal/graph ./internal/symshape .
 
 # cover enforces per-package coverage floors on the serving/execution/
 # observability core. Floors sit a few points under the measured value at
@@ -43,8 +44,10 @@ cover:
 # the engine-cache entry decoder, the two-way KIR differential generator —
 # random kernel programs, interpreter vs bytecode VM, bit-exact — and the
 # fleet's v2 HTTP infer-body decoder and tensor-data codec, both
-# differentially against encoding/json) for FUZZTIME each. Crashers land in
-# testdata/fuzz/ for triage.
+# differentially against encoding/json, and the graph text parser a model
+# repository reads from disk, whose accepted graphs must copy and re-parse
+# to the same text) for FUZZTIME each. Crashers land in testdata/fuzz/ for
+# triage.
 FUZZTIME ?= 30s
 fuzz:
 	go test -fuzz=FuzzTraceSpec -fuzztime=$(FUZZTIME) ./internal/workload
@@ -53,6 +56,7 @@ fuzz:
 	go test -fuzz=FuzzKIRProgram -fuzztime=$(FUZZTIME) ./internal/kir
 	go test -fuzz=FuzzV2InferDecode -fuzztime=$(FUZZTIME) ./internal/fleet
 	go test -fuzz=FuzzV2FloatCodec -fuzztime=$(FUZZTIME) ./internal/fleet
+	go test -fuzz=FuzzParseText -fuzztime=$(FUZZTIME) ./internal/graph
 
 # chaos replays the serve/exec suites under -race with fault injection
 # armed at a fresh random seed. The seed is printed so a failing run

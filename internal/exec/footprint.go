@@ -24,6 +24,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"godisc/internal/ral"
 	"godisc/internal/symshape"
@@ -73,6 +74,7 @@ func (e *Executable) buildFootprint() {
 		for sl := range held {
 			snap = append(snap, int32(sl))
 		}
+		slices.Sort(snap)
 		fp.live[i] = snap
 		if !e.opts.DisableLivenessPlanning {
 			for _, sl := range t.reads {

@@ -129,7 +129,10 @@ func (e *Executable) buildSchedule() {
 			n = src
 		}
 	}
+	// slotOf numbers the canonical nodes; slotNodes lists them in slot
+	// order, so everything derived from the slots below is deterministic.
 	slotOf := map[*graph.Node]int{}
+	var slotNodes []*graph.Node
 	slot := func(n *graph.Node) int {
 		n = canon(n)
 		if s, ok := slotOf[n]; ok {
@@ -138,6 +141,7 @@ func (e *Executable) buildSchedule() {
 		s := e.nSlots
 		e.nSlots++
 		slotOf[n] = s
+		slotNodes = append(slotNodes, n)
 		return s
 	}
 	producer := map[int]int{} // slot -> producing task id
@@ -185,7 +189,7 @@ func (e *Executable) buildSchedule() {
 		e.outputSlots = append(e.outputSlots, sl)
 		e.refs0[sl]++
 	}
-	for n, sl := range slotOf {
+	for sl, n := range slotNodes {
 		switch n.Kind {
 		case graph.OpParameter:
 			e.paramRefs = append(e.paramRefs, paramRef{slot: sl, param: n.ParamIndex})

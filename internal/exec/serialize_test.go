@@ -124,6 +124,26 @@ func TestEngineImageDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeImageDeterministic requires two compiles of the same model to
+// encode byte-identical images, for every zoo model: compile may not depend
+// on map iteration order. Byte equality is what lets a graph copy be
+// checked against a fresh parse exactly.
+func TestEncodeImageDeterministic(t *testing.T) {
+	for _, m := range models.Registry() {
+		var images [2][]byte
+		for i := range images {
+			img, err := compile(t, m.Build(), fusion.DefaultConfig()).EncodeImage()
+			if err != nil {
+				t.Fatalf("%s: encode: %v", m.Name, err)
+			}
+			images[i] = img
+		}
+		if !bytes.Equal(images[0], images[1]) {
+			t.Errorf("%s: two compiles encode different images (%d vs %d bytes)", m.Name, len(images[0]), len(images[1]))
+		}
+	}
+}
+
 // TestDecodeImageRejectsGarbage feeds the decoder hostile inputs and
 // requires errors, never panics.
 func TestDecodeImageRejectsGarbage(t *testing.T) {

@@ -252,15 +252,11 @@ func (f *Fleet) loadVersion(ctx context.Context, name, version, path string) (*m
 		lastUsed: time.Now(),
 		health:   newHealthTracker(f.cfg.Rollout),
 	}
-	// The builder re-parses the stored text so every invocation returns a
-	// fresh graph — the determinism contract serve.Register demands.
-	if err := f.srv.Register(mv.regName, func() *graph.Graph {
-		g, err := graph.ParseText(text)
-		if err != nil {
-			return nil
-		}
-		return g
-	}); err != nil {
+	// g is the version's prototype: nothing mutates it from here on. The
+	// builder hands out deep copies, so every invocation still returns a
+	// fresh graph (the contract serve.Register demands) without parsing
+	// the text again.
+	if err := f.srv.Register(mv.regName, func() *graph.Graph { return g.Copy() }); err != nil {
 		return nil, err
 	}
 	if mv.sig, err = f.srv.ModelSignature(mv.regName); err != nil {

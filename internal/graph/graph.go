@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"godisc/internal/symshape"
@@ -143,6 +144,60 @@ func (g *Graph) Clone(n *Node) *Node {
 	c := *n
 	c.Inputs = append([]*Node(nil), n.Inputs...)
 	return g.add(&c)
+}
+
+// Copy returns a deep structural copy of g: fresh nodes with the same IDs
+// and order, inputs, parameters and outputs remapped onto them, fresh shape
+// and attribute slices, and a clone of the shape context. Constant payloads
+// (Node.Lit) are shared, not copied. Copy only reads g, so any number of
+// goroutines may copy one graph that nobody mutates; each copy may then be
+// optimized and compiled on its own.
+func (g *Graph) Copy() *Graph {
+	c := &Graph{
+		Name:   g.Name,
+		Ctx:    g.Ctx.Clone(),
+		nodes:  make([]*Node, len(g.nodes)),
+		nextID: g.nextID,
+	}
+	// of maps each original node to its copy. Nodes outside g.nodes (a
+	// parameter a Sweep dropped, say) are copied on first reference.
+	of := make(map[*Node]*Node, len(g.nodes))
+	var get func(n *Node) *Node
+	get = func(n *Node) *Node {
+		if m, ok := of[n]; ok {
+			return m
+		}
+		m := new(Node)
+		*m = *n
+		of[n] = m
+		m.Shape = n.Shape.Clone()
+		m.Reduce.Axes = slices.Clone(n.Reduce.Axes)
+		m.Perm = slices.Clone(n.Perm)
+		m.Starts = slices.Clone(n.Starts)
+		m.Sizes = slices.Clone(n.Sizes)
+		m.PadLo = slices.Clone(n.PadLo)
+		m.PadHi = slices.Clone(n.PadHi)
+		m.Inputs = mapNodes(n.Inputs, get)
+		return m
+	}
+	for i, n := range g.nodes {
+		c.nodes[i] = get(n)
+	}
+	c.Params = mapNodes(g.Params, get)
+	c.Outputs = mapNodes(g.Outputs, get)
+	return c
+}
+
+// mapNodes maps a node list through get, keeping nil as nil.
+func mapNodes(ns []*Node, get func(*Node) *Node) []*Node {
+	if ns == nil {
+		return nil
+	}
+	out := make([]*Node, len(ns))
+	for i, n := range ns {
+		out[i] = get(n)
+	}
+	return out
 }
 
 // Verify checks structural invariants: operand dtypes/shapes consistent

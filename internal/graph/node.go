@@ -28,6 +28,9 @@ type Node struct {
 	Name string
 
 	// Attributes (used per Kind).
+	//
+	// Lit is the OpConstant payload. It is read-only: Graph.Copy shares it
+	// between the original and every copy, and compiled engines alias it.
 	Lit        *tensor.Tensor // OpConstant
 	ParamIndex int            // OpParameter
 	CmpOp      string         // OpCompare: lt le gt ge eq ne

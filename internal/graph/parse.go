@@ -149,8 +149,8 @@ func (p *parser) dimDecl(rest string) error {
 				return fmt.Errorf("quot wants 2 args")
 			}
 			denom, ok := ctx.StaticValue(ops[1])
-			if !ok {
-				return fmt.Errorf("quot denominator must be static")
+			if !ok || denom <= 0 {
+				return fmt.Errorf("quot denominator must be static and positive")
 			}
 			d = ctx.DeclareQuotient(name, ops[0], denom)
 		case "affine":
@@ -166,6 +166,9 @@ func (p *parser) dimDecl(rest string) error {
 			off, err2 := strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("affine scale/offset must be integer literals")
+			}
+			if v, ok := ctx.StaticValue(base); (ok || scale == 0) && scale*v+off < 0 {
+				return fmt.Errorf("affine folds to a negative extent")
 			}
 			d = ctx.DeclareAffine(name, base, scale, off)
 		default:
@@ -193,13 +196,13 @@ func (p *parser) dimDecl(rest string) error {
 			ctx.DeclareRange(d, lo, hi)
 		case strings.HasPrefix(f, "div(") && strings.HasSuffix(f, ")"):
 			k, err := strconv.ParseInt(f[len("div("):len(f)-1], 10, 64)
-			if err != nil {
+			if err != nil || k <= 0 {
 				return fmt.Errorf("bad div fact %q", f)
 			}
 			ctx.DeclareDivisible(d, k)
 		case strings.HasPrefix(f, "likely(") && strings.HasSuffix(f, ")"):
 			v, err := strconv.ParseInt(f[len("likely("):len(f)-1], 10, 64)
-			if err != nil {
+			if err != nil || v <= 0 {
 				return fmt.Errorf("bad likely fact %q", f)
 			}
 			ctx.DeclareLikely(d, v)

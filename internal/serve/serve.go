@@ -457,8 +457,11 @@ func (s *Server) emitOutcome(ev OutcomeEvent) {
 func (s *Server) EngineCache() *enginecache.Cache { return s.cfg.EngineCache }
 
 // Register adds a named model builder. Builders must be deterministic
-// (same graph, same weights on every call) and are invoked lazily: once
-// to derive the signature and once per compiled engine.
+// (same graph, same weights on every call) and must return a fresh graph
+// each time, since the caller optimizes it in place. They are invoked
+// lazily: once to derive the signature, once for the batchability
+// analysis, once per compiled engine, and once per interpreter-fallback
+// request.
 func (s *Server) Register(name string, build func() *graph.Graph) error {
 	if build == nil {
 		return fmt.Errorf("serve: model %q: nil builder", name)

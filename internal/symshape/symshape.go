@@ -10,6 +10,8 @@ package symshape
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -93,6 +95,27 @@ func NewContext(f Features) *Context {
 		features: f,
 		statics:  map[int64]DimID{},
 		decomp:   map[DimID][]DimID{},
+	}
+}
+
+// Clone returns an independent copy of c: the same symbols with the same
+// IDs and facts. It reads the raw union-find arrays instead of calling find,
+// which compresses paths and so writes even on queries; that makes
+// concurrent Clones of one context that nobody mutates race-free. The
+// decomposition maps are copied; their factor and term slices are shared,
+// since they are never written after they are stored.
+func (c *Context) Clone() *Context {
+	return &Context{
+		features:     c.features,
+		parent:       slices.Clone(c.parent),
+		rank:         slices.Clone(c.rank),
+		info:         slices.Clone(c.info),
+		statics:      maps.Clone(c.statics),
+		decomp:       maps.Clone(c.decomp),
+		decompSum:    maps.Clone(c.decompSum),
+		decompQuot:   maps.Clone(c.decompQuot),
+		decompAffine: maps.Clone(c.decompAffine),
+		likely:       maps.Clone(c.likely),
 	}
 }
 
