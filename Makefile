@@ -31,7 +31,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:80 internal/ral:81; do \
+	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:80 internal/ral:81 internal/graph:82; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \
@@ -46,8 +46,9 @@ cover:
 # fleet's v2 HTTP infer-body decoder and tensor-data codec, both
 # differentially against encoding/json, and the graph text parser a model
 # repository reads from disk, whose accepted graphs must copy and re-parse
-# to the same text) for FUZZTIME each. Crashers land in testdata/fuzz/ for
-# triage.
+# to the same text, and parse to the same text again when rewritten with
+# the other constant payload encoding, decimal or b64) for FUZZTIME each.
+# Crashers land in testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
 fuzz:
 	go test -fuzz=FuzzTraceSpec -fuzztime=$(FUZZTIME) ./internal/workload

@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	"godisc/internal/models"
 	"godisc/internal/serve"
 	"godisc/internal/symshape"
+	"godisc/internal/tensor"
 )
 
 // builtGraph is what one builder invocation handed out, recorded before
@@ -140,3 +146,78 @@ func BenchmarkLoadModelCold(b *testing.B) { benchmarkLoadModel(b, true) }
 // BenchmarkLoadModelWarm prices one load from the engine cache (and its
 // unload).
 func BenchmarkLoadModelWarm(b *testing.B) { benchmarkLoadModel(b, false) }
+
+// TestLegacyDecimalRepository: a model file written before the b64 payload
+// form existed (every constant a decimal list) still loads, and answers an
+// infer byte-identically to the same model written as WriteText writes it
+// now.
+func TestLegacyDecimalRepository(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "graph", "testdata", "legacy", "dlrm.graph"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := models.ByName("dlrm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := graph.WriteText(m.Build())
+	if bytes.Contains(legacy, []byte("data=b64:")) || !strings.Contains(current, "data=b64:") {
+		t.Fatal("fixture texts do not hold one payload form each")
+	}
+	repo := t.TempDir()
+	for v, text := range map[string]string{"1": string(legacy), "2": current} {
+		dir := filepath.Join(repo, m.Name, v)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, GraphFileName), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx := newFixture(t, fixtureOpts{repo: repo})
+
+	req := InferRequest{}
+	for i, in := range m.GenInputs(tensor.NewRNG(3), 5, 1) {
+		shape := make([]int64, in.Rank())
+		for d, n := range in.Shape() {
+			shape[d] = int64(n)
+		}
+		var data any
+		switch in.DType() {
+		case tensor.F32:
+			data = in.F32()
+		case tensor.I32:
+			data = in.I32()
+		}
+		raw, err := json.Marshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Inputs = append(req.Inputs, InferTensor{Name: fmt.Sprint("in", i), Shape: shape, Datatype: datatypeOf(in.DType()), Data: raw})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []json.RawMessage
+	for _, v := range []string{"1", "2"} {
+		path := "/v2/models/" + m.Name + "/versions/" + v + "/infer"
+		code, payload := fx.do(t, http.MethodPost, path, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", path, code, payload)
+		}
+		var resp struct {
+			Outputs json.RawMessage `json:"outputs"`
+		}
+		if err := json.Unmarshal(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, resp.Outputs)
+	}
+	if !bytes.Contains(outs[0], []byte(`"data":[`)) {
+		t.Fatalf("no output data in %s", outs[0])
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("decimal file answered %s\nb64 file answered %s", outs[0], outs[1])
+	}
+}

@@ -258,17 +258,32 @@ func copyConcurrently(t *testing.T, m *models.Model, proto *graph.Graph, workers
 }
 
 // BenchmarkParseZoo and BenchmarkCopyZoo price the two ways a model
-// repository can hand out a fresh graph of every zoo model.
+// repository can hand out a fresh graph of every zoo model. ParseZoo
+// prices both payload encodings: /decimal is every file written before the
+// b64 form existed, /b64 is what WriteText writes now.
 func BenchmarkParseZoo(b *testing.B) {
-	texts, _ := zooPrototypes(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, text := range texts {
-			if _, err := graph.ParseText(text); err != nil {
-				b.Fatal(err)
+	for _, enc := range []struct {
+		name  string
+		write func(*graph.Graph) string
+	}{{"decimal", graph.WriteTextDecimal}, {"b64", graph.WriteText}} {
+		b.Run(enc.name, func(b *testing.B) {
+			var texts []string
+			size := 0
+			for _, m := range models.Registry() {
+				texts = append(texts, enc.write(m.Build()))
+				size += len(texts[len(texts)-1])
 			}
-		}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, text := range texts {
+					if _, err := graph.ParseText(text); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -42,11 +42,17 @@ func fuzzSeedGraphs() []*Graph {
 
 // FuzzParseText fuzzes the on-disk graph decoder (a model repository reads
 // this text from disk). The parser must never panic; a graph it accepts must
-// copy to a graph that writes the same text, and that text must parse again.
+// copy to a graph that writes the same text, that text must parse again,
+// and rewritten in the other payload encoding it must parse to a graph
+// that writes the same text once more.
 func FuzzParseText(f *testing.F) {
 	for _, g := range fuzzSeedGraphs() {
 		f.Add(WriteText(g))
+		f.Add(WriteTextDecimal(g))
 	}
+	f.Add(constText("bool[3]", b64Of(1, 0, 1)))
+	f.Add(constText("i32[2]", b64Of(0xfe, 0xff, 0xff, 0xff, 7, 0, 0, 0)))
+	f.Add(constText("f32[2]", b64Of(1, 0, 0xc0, 0x7f, 0, 0, 0, 0x80))) // NaN with payload, -0
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ParseText(src)
 		if err != nil {
@@ -56,8 +62,36 @@ func FuzzParseText(f *testing.F) {
 		if got := WriteText(g.Copy()); got != text {
 			t.Fatalf("copy writes different text:\n%s\nwant:\n%s", got, text)
 		}
-		if _, err := ParseText(text); err != nil {
+		p, err := ParseText(text)
+		if err != nil {
 			t.Fatalf("written text does not parse again: %v\n%s", err, text)
 		}
+		dec := WriteTextDecimal(g)
+		q, err := ParseText(dec)
+		if err != nil {
+			t.Fatalf("decimal text does not parse: %v\n%s", err, dec)
+		}
+		if got, want := WriteTextDecimal(q), WriteTextDecimal(p); got != want {
+			t.Fatalf("the two encodings parse to graphs writing different decimal text:\n%s\nwant:\n%s", got, want)
+		}
+		// Decimal spells every NaN "NaN", so NaN payload bits are the one
+		// thing only the b64 form keeps.
+		if got, want := WriteText(q), WriteText(p); got != want && !holdsNaN(g) {
+			t.Fatalf("the two encodings parse to graphs writing different text:\n%s\nwant:\n%s", got, want)
+		}
 	})
+}
+
+func holdsNaN(g *Graph) bool {
+	for _, n := range g.Nodes() {
+		if n.Kind != OpConstant || n.Lit.DType() != tensor.F32 {
+			continue
+		}
+		for _, v := range n.Lit.F32() {
+			if v != v {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -214,7 +217,8 @@ func (p *parser) dimDecl(rest string) error {
 	return nil
 }
 
-// nodeDecl parses "%N = op(...) attrs dtype[shape] data=[...]".
+// nodeDecl parses "%N = op(...) attrs dtype[shape] data=..." (data= on
+// constants only).
 func (p *parser) nodeDecl(line string) error {
 	if p.g == nil {
 		return fmt.Errorf("node before graph header")
@@ -306,12 +310,9 @@ func (p *parser) nodeDecl(line string) error {
 
 	// Constant payload.
 	if kind == OpConstant {
-		if !strings.HasPrefix(rest, "data=[") || !strings.HasSuffix(rest, "]") {
-			return fmt.Errorf("constant %%%d missing data payload", id)
-		}
-		lit, err := parsePayload(n, rest[len("data=["):len(rest)-1], p.g.Ctx)
+		lit, err := parsePayload(n, rest, p.g.Ctx)
 		if err != nil {
-			return err
+			return fmt.Errorf("constant %%%d: %w", id, err)
 		}
 		n.Lit = lit
 	} else if rest != "" {
@@ -480,9 +481,9 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// parsePayload reads the flat constant payload using the node's (already
-// parsed) dtype and shape.
-func parsePayload(n *Node, body string, ctx *symshape.Context) (*tensor.Tensor, error) {
+// parsePayload reads a constant's data=[...] or data=b64:... payload using
+// the node's (already parsed) dtype and shape.
+func parsePayload(n *Node, src string, ctx *symshape.Context) (*tensor.Tensor, error) {
 	shape := make([]int, len(n.Shape))
 	for i, d := range n.Shape {
 		v, ok := ctx.StaticValue(d)
@@ -491,14 +492,98 @@ func parsePayload(n *Node, body string, ctx *symshape.Context) (*tensor.Tensor, 
 		}
 		shape[i] = int(v)
 	}
+	numel, ok := checkedNumel(shape, n.DType.Size())
+	if !ok {
+		return nil, fmt.Errorf("shape %v is too large for a constant", shape)
+	}
+	switch {
+	case strings.HasPrefix(src, "data=b64:"):
+		return parseB64Payload(n.DType, shape, numel, src[len("data=b64:"):])
+	case strings.HasPrefix(src, "data=[") && strings.HasSuffix(src, "]"):
+		return parseDecimalPayload(n.DType, shape, numel, src[len("data=["):len(src)-1])
+	}
+	return nil, fmt.Errorf("missing data payload")
+}
+
+// checkedNumel is the element count of shape, or false when the payload
+// it describes (elemSize bytes per element) does not fit in an int.
+func checkedNumel(shape []int, elemSize int) (int, bool) {
+	n := 1
+	for _, d := range shape {
+		if d == 0 {
+			return 0, true
+		}
+	}
+	for _, d := range shape {
+		if d < 0 || n > math.MaxInt/elemSize/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// strictB64 requires padding and zero unused bits in the last quantum.
+var strictB64 = base64.StdEncoding.Strict()
+
+// parseB64Payload decodes standard padded base64 of the little-endian
+// element bytes. The body must be exactly as long as the declared shape
+// encodes to, which is checked before anything is allocated, so a short
+// file cannot make the parser allocate for a large declared shape.
+// Strict decoding gives every payload one accepted spelling, so
+// write(parse(text)) reproduces the text.
+func parseB64Payload(dt tensor.DType, shape []int, numel int, body string) (*tensor.Tensor, error) {
+	// Encoding never shrinks, so the first test keeps EncodedLen from
+	// overflowing on a huge declared shape.
+	nbytes := numel * dt.Size()
+	if nbytes > len(body) || strictB64.EncodedLen(nbytes) != len(body) {
+		return nil, fmt.Errorf("b64 payload of %d characters does not encode the %d bytes of shape %v", len(body), nbytes, shape)
+	}
+	raw, err := strictB64.DecodeString(body)
+	if err != nil {
+		return nil, fmt.Errorf("b64 payload: %w", err)
+	}
+	// The decoder skips '\r' (and '\n'), so a body of the right length can
+	// still decode short.
+	if len(raw) != nbytes {
+		return nil, fmt.Errorf("b64 payload decodes to %d bytes, shape %v needs %d", len(raw), shape, nbytes)
+	}
+	switch dt {
+	case tensor.F32:
+		data := make([]float32, numel)
+		for i := range data {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		return tensor.FromF32(data, shape...), nil
+	case tensor.I32:
+		data := make([]int32, numel)
+		for i := range data {
+			data[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		return tensor.FromI32(data, shape...), nil
+	case tensor.Bool:
+		data := make([]bool, numel)
+		for i, b := range raw {
+			if b > 1 {
+				return nil, fmt.Errorf("bool element %d is byte %d, want 0 or 1", i, b)
+			}
+			data[i] = b == 1
+		}
+		return tensor.FromBool(data, shape...), nil
+	}
+	return nil, fmt.Errorf("unknown dtype")
+}
+
+// parseDecimalPayload reads a comma-separated decimal list.
+func parseDecimalPayload(dt tensor.DType, shape []int, numel int, body string) (*tensor.Tensor, error) {
 	var toks []string
 	if strings.TrimSpace(body) != "" {
 		toks = strings.Split(body, ",")
 	}
-	if len(toks) != tensor.Numel(shape) {
+	if len(toks) != numel {
 		return nil, fmt.Errorf("payload has %d values for shape %v", len(toks), shape)
 	}
-	switch n.DType {
+	switch dt {
 	case tensor.F32:
 		data := make([]float32, len(toks))
 		for i, t := range toks {

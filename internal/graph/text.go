@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -27,8 +30,19 @@ import (
 //	  return %2
 //	}
 
+// decimalMaxElems is the largest constant WriteText renders as a decimal
+// list. Larger payloads are written as data=b64:<payload>: standard padded
+// base64 of the little-endian element bytes, which parses several times
+// faster than decimal floats and is bit-exact for every value, NaN
+// payloads included.
+const decimalMaxElems = 16
+
 // WriteText serializes g.
-func WriteText(g *Graph) string {
+func WriteText(g *Graph) string { return writeText(g, false) }
+
+// writeText serializes g; decimal forces every constant payload into the
+// decimal list form, whatever its size.
+func writeText(g *Graph, decimal bool) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "graph %s {\n", sanitizeName(g.Name))
 	order := g.Toposort()
@@ -99,14 +113,14 @@ func WriteText(g *Graph) string {
 
 	emitted := map[*Node]bool{}
 	for _, pn := range g.Params {
-		writeNode(&sb, g.Ctx, pn)
+		writeNode(&sb, g.Ctx, pn, decimal)
 		emitted[pn] = true
 	}
 	for _, n := range order {
 		if emitted[n] {
 			continue
 		}
-		writeNode(&sb, g.Ctx, n)
+		writeNode(&sb, g.Ctx, n, decimal)
 	}
 	outs := make([]string, len(g.Outputs))
 	for i, o := range g.Outputs {
@@ -194,7 +208,7 @@ func writeShape(sb *strings.Builder, ctx *symshape.Context, s symshape.Shape) {
 	sb.WriteString("]")
 }
 
-func writeNode(sb *strings.Builder, ctx *symshape.Context, n *Node) {
+func writeNode(sb *strings.Builder, ctx *symshape.Context, n *Node, decimal bool) {
 	fmt.Fprintf(sb, "  %%%d = %s", n.ID, n.Kind)
 	if len(n.Inputs) > 0 {
 		sb.WriteString("(")
@@ -234,23 +248,57 @@ func writeNode(sb *strings.Builder, ctx *symshape.Context, n *Node) {
 	sb.WriteString(n.DType.String())
 	writeShape(sb, ctx, n.Shape)
 	if n.Kind == OpConstant {
-		sb.WriteString(" data=[")
-		for i := 0; i < n.Lit.Numel(); i++ {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			switch n.Lit.DType() {
-			case tensor.F32:
-				sb.WriteString(formatF32(n.Lit.F32()[i]))
-			case tensor.I32:
-				fmt.Fprintf(sb, "%d", n.Lit.I32()[i])
-			case tensor.Bool:
-				fmt.Fprintf(sb, "%t", n.Lit.Bools()[i])
-			}
+		if decimal || n.Lit.Numel() <= decimalMaxElems {
+			writeDecimalPayload(sb, n.Lit)
+		} else {
+			sb.WriteString(" data=b64:")
+			sb.WriteString(base64.StdEncoding.EncodeToString(payloadBytes(n.Lit)))
 		}
-		sb.WriteString("]")
 	}
 	sb.WriteString("\n")
+}
+
+func writeDecimalPayload(sb *strings.Builder, lit *tensor.Tensor) {
+	sb.WriteString(" data=[")
+	for i := 0; i < lit.Numel(); i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		switch lit.DType() {
+		case tensor.F32:
+			sb.WriteString(formatF32(lit.F32()[i]))
+		case tensor.I32:
+			fmt.Fprintf(sb, "%d", lit.I32()[i])
+		case tensor.Bool:
+			fmt.Fprintf(sb, "%t", lit.Bools()[i])
+		}
+	}
+	sb.WriteString("]")
+}
+
+// payloadBytes lays a constant out as the b64 form stores it: 4
+// little-endian bytes per f32 or i32 element, one byte (0 or 1) per bool.
+func payloadBytes(lit *tensor.Tensor) []byte {
+	raw := make([]byte, 0, lit.Bytes())
+	switch lit.DType() {
+	case tensor.F32:
+		for _, v := range lit.F32() {
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
+		}
+	case tensor.I32:
+		for _, v := range lit.I32() {
+			raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
+		}
+	case tensor.Bool:
+		for _, v := range lit.Bools() {
+			if v {
+				raw = append(raw, 1)
+			} else {
+				raw = append(raw, 0)
+			}
+		}
+	}
+	return raw
 }
 
 func intList(xs []int) string {

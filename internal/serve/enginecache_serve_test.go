@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"godisc/internal/enginecache"
 	"godisc/internal/exec"
 	"godisc/internal/faultinject"
+	"godisc/internal/graph"
 	"godisc/internal/servetest"
 	"godisc/internal/tensor"
 )
@@ -206,6 +208,96 @@ func TestCachePersistLoadAcrossServers(t *testing.T) {
 	st := b.Stats()
 	if st.EngineLoads != 1 {
 		t.Fatalf("second server must load the persisted engine: %+v", st)
+	}
+}
+
+// TestPersistBatchVerdictOnlyWhenBatching: with batching off (the
+// discserve default) a cold compile persists its engine without the
+// batchability verdict, so it builds one graph fewer: one for the
+// signature and one to compile, where the analysis made it three. A
+// batching server that loads such an entry derives the verdict itself and
+// gets what a fresh analysis gives; one that compiles persists it.
+func TestPersistBatchVerdictOnlyWhenBatching(t *testing.T) {
+	dec, enc := cacheCodecs()
+	dir := t.TempDir()
+	var builds int32
+	counting := func() *graph.Graph {
+		atomic.AddInt32(&builds, 1)
+		return buildMLP()
+	}
+	infer := func(s *Server) {
+		t.Helper()
+		if _, err := s.Infer(context.Background(), &Request{
+			Model: "mlp", Inputs: []*tensor.Tensor{tensor.RandN(tensor.NewRNG(4), 0.5, 3, 12)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := func(s *Server, dir string) *enginecache.Entry {
+		t.Helper()
+		m, err := s.lookup("mlp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := m.signature()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, err := servetest.OpenCache(t, dir).Load("mlp@" + sig)
+		if ent == nil {
+			t.Fatalf("no persisted entry: %v", err)
+		}
+		return ent
+	}
+	want := analyzeBatchable(buildMLP())
+	if !want.ok {
+		t.Fatalf("mlp must be batchable: %+v", want)
+	}
+
+	var compiles int32
+	off := New(Config{MaxConcurrent: 2, EngineCache: servetest.OpenCache(t, dir), DecodeEngine: dec, EncodeEngine: enc},
+		realCompile(&compiles))
+	if err := off.Register("mlp", counting); err != nil {
+		t.Fatal(err)
+	}
+	infer(off)
+	off.Close()
+	if n := atomic.LoadInt32(&builds); n != 2 {
+		t.Fatalf("cold load with batching off built %d graphs, want 2", n)
+	}
+	if ent := entry(off, dir); ent.BatchKnown {
+		t.Fatalf("batching-off server persisted a verdict: %+v", ent)
+	}
+
+	on := New(Config{MaxConcurrent: 2, MaxBatchSize: 8,
+		EngineCache: servetest.OpenCache(t, dir), DecodeEngine: dec, EncodeEngine: enc}, realCompile(&compiles))
+	defer on.Close()
+	if err := on.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	infer(on)
+	if n := atomic.LoadInt32(&compiles); n != 1 {
+		t.Fatalf("batching server must load the persisted engine, %d compiles", n)
+	}
+	m, err := on.lookup("mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.batchable(); got != want {
+		t.Fatalf("verdict derived after loading an unknown one: %+v, fresh analysis: %+v", got, want)
+	}
+
+	freshDir := t.TempDir()
+	fresh := New(Config{MaxConcurrent: 2, MaxBatchSize: 8,
+		EngineCache: servetest.OpenCache(t, freshDir), DecodeEngine: dec, EncodeEngine: enc}, realCompile(nil))
+	defer fresh.Close()
+	if err := fresh.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	infer(fresh)
+	ent := entry(fresh, freshDir)
+	if got := (batchInfo{ok: ent.Batchable, reason: ent.BatchReason, maxRows: ent.BatchMaxRows}); !ent.BatchKnown || got != want {
+		t.Fatalf("batching server persisted known=%v %+v, want %+v", ent.BatchKnown, got, want)
 	}
 }
 

@@ -542,8 +542,9 @@ func (s *Server) buildEngine(m *modelEntry, sig, key string, g *graph.Graph, sp 
 // loadPersisted tries the persistent engine cache. Every failure mode —
 // no cache, no codec, miss, corruption (quarantined by the cache),
 // fingerprint mismatch, a payload that will not decode — returns nil:
-// the caller compiles. A valid entry also pre-seeds the model's
-// batchability verdict so a warm restart skips that analysis too.
+// the caller compiles. An entry a batching server persisted also pre-seeds
+// the model's batchability verdict so a warm restart skips that analysis
+// too.
 func (s *Server) loadPersisted(m *modelEntry, key string, sp *obs.Span) Engine {
 	ec, dec := s.cfg.EngineCache, s.cfg.DecodeEngine
 	if ec == nil || dec == nil {
@@ -582,15 +583,15 @@ func (s *Server) persistEngine(m *modelEntry, key string, eng Engine) {
 	if err != nil || payload == nil {
 		return
 	}
-	info := m.batchable()
-	_ = ec.Persist(&enginecache.Entry{
-		Key:          key,
-		BatchKnown:   true,
-		Batchable:    info.ok,
-		BatchReason:  info.reason,
-		BatchMaxRows: info.maxRows,
-		Payload:      payload,
-	})
+	ent := &enginecache.Entry{Key: key, Payload: payload}
+	// Only a batching server needs the verdict. Without batching, leave it
+	// unknown instead of building a graph to analyze; a batching server
+	// that loads the entry runs the analysis itself.
+	if s.batch != nil {
+		info := m.batchable()
+		ent.BatchKnown, ent.Batchable, ent.BatchReason, ent.BatchMaxRows = true, info.ok, info.reason, info.maxRows
+	}
+	_ = ec.Persist(ent)
 }
 
 // engineFast resolves an engine without ever blocking on a compilation:
