@@ -1,11 +1,12 @@
 # Tier-1 verify gate (see ROADMAP.md): build, vet, full tests, then the
-# race detector over the concurrent serving/execution paths, then the
-# per-package coverage floors, then a randomized chaos replay with fault
-# injection enabled, then an informational bench comparison against the
-# checked-in results.
-.PHONY: verify build vet test race cover fuzz bench bench-compare chaos soak
+# executor and kernel-VM suites in shuffled order, then the race detector
+# over the concurrent serving/execution paths, then the per-package
+# coverage floors, then a randomized chaos replay with fault injection
+# enabled, then an informational bench comparison against the checked-in
+# results.
+.PHONY: verify build vet test shuffle race cover fuzz bench bench-compare chaos soak
 
-verify: build vet test race cover chaos bench-compare
+verify: build vet test shuffle race cover chaos bench-compare
 
 build:
 	go build ./...
@@ -15,6 +16,12 @@ vet:
 
 test:
 	go test ./...
+
+# shuffle reruns the executor and kernel-VM suites three times in random
+# test order (a failing run prints its -test.shuffle seed), so a test that
+# only passes after another one has warmed a pool or cache fails here.
+shuffle:
+	go test -shuffle=on -count=3 ./internal/exec ./internal/kir
 
 # race includes a ~1s slice of the governance soak (TestSoakGovernedOverload);
 # `make soak` runs the full 30s version.

@@ -230,37 +230,6 @@ func BenchmarkE11Adaptive(b *testing.B) {
 	b.ReportMetric(rows[0].UsPerRequest/rows[2].UsPerRequest, "hot_shape_gain_x")
 }
 
-// BenchmarkE14ParallelScaling regenerates the host-parallelism scaling
-// curve: modeled DAG-makespan speedup per worker count, the measured
-// wall-clock ratio on this host, and the bit-identity proof (1 = every
-// parallel output matched the sequential engine bit for bit).
-func BenchmarkE14ParallelScaling(b *testing.B) {
-	var rows []bench.ParallelRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.ParallelScaling(benchCfg(), []int{1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	identical := 1.0
-	for _, r := range rows {
-		if !r.BitIdentical {
-			identical = 0
-		}
-		switch r.Workers {
-		case 2:
-			b.ReportMetric(r.Speedup, "speedup_w2")
-		case 4:
-			b.ReportMetric(r.Speedup, "speedup_w4")
-			b.ReportMetric(r.WallSpeedup, "wall_speedup_w4")
-		case 8:
-			b.ReportMetric(r.Speedup, "speedup_w8")
-		}
-	}
-	b.ReportMetric(identical, "bit_identical")
-}
-
 // BenchmarkE15DynamicBatching regenerates the dynamic-batching saturation
 // table: modeled per-request device time solo vs inside a full coalescing
 // window, the throughput and FCFS-p99 both imply at 32 saturated clients,

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"godisc/internal/bench"
@@ -18,14 +17,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: e1..e12, e14..e16, replay, all")
+		exp      = flag.String("exp", "all", "experiment id: e1..e12, e15, e16, replay, all")
 		dev      = flag.String("device", "A10", "device model: A10 or T4")
 		requests = flag.Int("requests", 200, "requests per trace")
 		modelArg = flag.String("models", "", "comma-separated model subset (default all)")
 		seed     = flag.Uint64("seed", 7, "trace seed")
 		jsonOut  = flag.String("json", "", "also write machine-readable results to this file")
 		traceIn  = flag.String("trace", "", "with -exp replay: shape-trace file (lines of \"batch,seq\")")
-		workers  = flag.String("workers", "1,2,4,8", "with -exp e14: comma-separated engine worker counts")
 		window   = flag.Int("window", 8, "with -exp e15: dynamic-batching window (rows coalesced per run)")
 		clients  = flag.Int("clients", 32, "with -exp e15: closed-loop clients at saturation")
 		traceOut = flag.String("trace-out", "",
@@ -41,13 +39,13 @@ func main() {
 		cfg.Models = strings.Split(*modelArg, ",")
 	}
 
-	if err := run(*exp, cfg, *jsonOut, *traceIn, *workers, *traceOut, *window, *clients); err != nil {
+	if err := run(*exp, cfg, *jsonOut, *traceIn, *traceOut, *window, *clients); err != nil {
 		fmt.Fprintln(os.Stderr, "discbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, cfg bench.Config, jsonOut, traceIn, workers, traceOut string, window, clients int) error {
+func run(exp string, cfg bench.Config, jsonOut, traceIn, traceOut string, window, clients int) error {
 	w := os.Stdout
 	results := map[string]any{}
 	want := func(id string) bool { return exp == "all" || strings.EqualFold(exp, id) }
@@ -209,24 +207,6 @@ func run(exp string, cfg bench.Config, jsonOut, traceIn, workers, traceOut strin
 		bench.PrintScaleSweep(w, cfg, rows)
 		fmt.Fprintln(w)
 	}
-	if want("e14") {
-		any = true
-		var counts []int
-		for _, f := range strings.Split(workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -workers entry %q", f)
-			}
-			counts = append(counts, n)
-		}
-		rows, err := bench.ParallelScaling(cfg, counts)
-		if err != nil {
-			return err
-		}
-		results["e14"] = rows
-		bench.PrintParallelScaling(w, cfg, rows)
-		fmt.Fprintln(w)
-	}
 	if want("e15") {
 		any = true
 		rows, err := bench.DynamicBatching(cfg, window, clients)
@@ -248,7 +228,7 @@ func run(exp string, cfg bench.Config, jsonOut, traceIn, workers, traceOut strin
 		fmt.Fprintln(w)
 	}
 	if !any {
-		return fmt.Errorf("unknown experiment %q (have e1..e12, e14..e16, replay, all)", exp)
+		return fmt.Errorf("unknown experiment %q (have e1..e12, e15, e16, replay, all)", exp)
 	}
 	if traceOut != "" {
 		model := "bert"

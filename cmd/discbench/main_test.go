@@ -14,7 +14,7 @@ func TestRunExperimentSubsetWithJSON(t *testing.T) {
 	cfg.Requests = 10
 	cfg.Models = []string{"mlp"}
 	jsonOut := filepath.Join(t.TempDir(), "r.json")
-	if err := run("e1", cfg, jsonOut, "", "1,2", "", 8, 32); err != nil {
+	if err := run("e1", cfg, jsonOut, "", "", 8, 32); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Stat(jsonOut); err != nil || st.Size() == 0 {
@@ -30,13 +30,13 @@ func TestRunReplayTrace(t *testing.T) {
 	if err := os.WriteFile(tracePath, []byte("# t\n1,1\n2,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("replay", cfg, "", tracePath, "1,2", "", 8, 32); err != nil {
+	if err := run("replay", cfg, "", tracePath, "", 8, 32); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("e99", bench.DefaultConfig(), "", "", "1,2", "", 8, 32); err == nil {
+	if err := run("e99", bench.DefaultConfig(), "", "", "", 8, 32); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
@@ -48,7 +48,7 @@ func TestRunTraceOut(t *testing.T) {
 	cfg.Requests = 8
 	cfg.Models = []string{"mlp"}
 	traceOut := filepath.Join(t.TempDir(), "trace.json")
-	if err := run("e1", cfg, "", "", "1,2", traceOut, 8, 32); err != nil {
+	if err := run("e1", cfg, "", "", traceOut, 8, 32); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(traceOut)

@@ -13,7 +13,6 @@ import (
 
 	"godisc/internal/baselines"
 	"godisc/internal/device"
-	"godisc/internal/exec"
 	"godisc/internal/graph"
 	"godisc/internal/models"
 	"godisc/internal/obs"
@@ -23,24 +22,22 @@ import (
 
 func main() {
 	var (
-		model   = flag.String("model", "bert", "model to run")
-		in      = flag.String("in", "", "run a serialized .disc graph instead of a zoo model")
-		binds   = flag.String("bind", "", "with -in: dynamic dim values, e.g. \"d0=4,d1=12\"")
-		dev     = flag.String("device", "A10", "device model: A10 or T4")
-		batch   = flag.Int("batch", 4, "batch size")
-		seqs    = flag.String("seqs", "8,33,128", "comma-separated sequence lengths to run")
-		verify  = flag.Bool("verify", true, "check outputs against the reference interpreter")
-		workers = flag.Int("workers", exec.DefaultWorkers(),
-			"engine execution goroutines per run (1 = sequential; default GODISC_WORKERS or GOMAXPROCS)")
+		model    = flag.String("model", "bert", "model to run")
+		in       = flag.String("in", "", "run a serialized .disc graph instead of a zoo model")
+		binds    = flag.String("bind", "", "with -in: dynamic dim values, e.g. \"d0=4,d1=12\"")
+		dev      = flag.String("device", "A10", "device model: A10 or T4")
+		batch    = flag.Int("batch", 4, "batch size")
+		seqs     = flag.String("seqs", "8,33,128", "comma-separated sequence lengths to run")
+		verify   = flag.Bool("verify", true, "check outputs against the reference interpreter")
 		traceOut = flag.String("trace-out", "",
 			"write per-run execution traces as a Chrome trace_event file (open in chrome://tracing)")
 	)
 	flag.Parse()
 	var err error
 	if *in != "" {
-		err = runArtifact(*in, *binds, *dev, *workers, *traceOut)
+		err = runArtifact(*in, *binds, *dev, *traceOut)
 	} else {
-		err = run(*model, *dev, *batch, *seqs, *verify, *workers, *traceOut)
+		err = run(*model, *dev, *batch, *seqs, *verify, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "discrun:", err)
@@ -51,7 +48,7 @@ func main() {
 // runArtifact loads a serialized graph, binds the user-supplied dynamic
 // dim values, synthesizes random inputs of the resulting shapes, and runs
 // the compiled executable with verification against the reference.
-func runArtifact(path, binds, devName string, workers int, traceOut string) error {
+func runArtifact(path, binds, devName, traceOut string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -129,7 +126,6 @@ func runArtifact(path, binds, devName string, workers int, traceOut string) erro
 		return err
 	}
 	params := baselines.BladeDISCParams()
-	params.Workers = workers
 	tracer := newTracer(traceOut)
 	params.Hook = hookOrNil(tracer)
 	disc, err := baselines.NewCompiled(g, d, params)
@@ -169,7 +165,7 @@ func keys(m map[string]symshape.DimID) []string {
 	return out
 }
 
-func run(model, devName string, batch int, seqs string, verify bool, workers int, traceOut string) error {
+func run(model, devName string, batch int, seqs string, verify bool, traceOut string) error {
 	m, err := models.ByName(model)
 	if err != nil {
 		return err
@@ -179,7 +175,6 @@ func run(model, devName string, batch int, seqs string, verify bool, workers int
 		return err
 	}
 	params := baselines.BladeDISCParams()
-	params.Workers = workers
 	tracer := newTracer(traceOut)
 	params.Hook = hookOrNil(tracer)
 	disc, err := baselines.NewCompiled(m.Build(), d, params)

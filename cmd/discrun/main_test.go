@@ -11,20 +11,20 @@ import (
 
 func TestRunVerifiesModels(t *testing.T) {
 	for _, m := range []string{"mlp", "gpt2"} {
-		if err := run(m, "T4", 2, "4,9", true, 4, ""); err != nil {
+		if err := run(m, "T4", 2, "4,9", true, ""); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 	}
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	if err := run("nope", "A10", 2, "4", true, 1, ""); err == nil {
+	if err := run("nope", "A10", 2, "4", true, ""); err == nil {
 		t.Fatal("unknown model must error")
 	}
-	if err := run("mlp", "H100", 2, "4", true, 1, ""); err == nil {
+	if err := run("mlp", "H100", 2, "4", true, ""); err == nil {
 		t.Fatal("unknown device must error")
 	}
-	if err := run("mlp", "A10", 2, "x", true, 1, ""); err == nil {
+	if err := run("mlp", "A10", 2, "x", true, ""); err == nil {
 		t.Fatal("bad seq list must error")
 	}
 }
@@ -33,7 +33,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 // trace file records one exec root per sequence length.
 func TestRunTraceOut(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
-	if err := run("mlp", "A10", 2, "4,9,16", true, 2, path); err != nil {
+	if err := run("mlp", "A10", 2, "4,9,16", true, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -74,10 +74,10 @@ func TestRunArtifact(t *testing.T) {
 	if err := os.WriteFile(path, []byte(graph.WriteText(m.Build())), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runArtifact(path, "", "A10", 2, ""); err != nil {
+	if err := runArtifact(path, "", "A10", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runArtifact(path, "dZZZ=4", "A10", 1, ""); err == nil {
+	if err := runArtifact(path, "dZZZ=4", "A10", ""); err == nil {
 		t.Fatal("unknown binding must error")
 	}
 }

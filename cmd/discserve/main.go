@@ -48,35 +48,34 @@ import (
 
 // options collects everything run needs, mirroring the flags.
 type options struct {
-	Models        string        // comma-separated zoo model names
-	Dist          string        // workload distribution name
-	Device        string        // device model name
-	Requests      int           // trace length
-	Workers       int           // client goroutines == server MaxConcurrent
-	Queue         int           // admission queue depth
-	MaxBatch      int           // trace batch bound
-	MaxSeq        int           // trace sequence-length bound
-	Deadline      time.Duration // per-request deadline (0 = none)
-	Warm          bool          // precompile before replaying
-	Seed          uint64        // trace generator seed
-	Faults        string        // fault-injection spec ("" = no faults)
-	FaultSeed     uint64        // fault injector seed
-	DrainTimeout  time.Duration // graceful-shutdown deadline
-	EngineWorkers int           // per-request engine parallelism (0 = auto)
-	MemBudget     int64         // pooled-memory budget in bytes (0 = off)
-	Watchdog      float64       // hung-request watchdog multiple (0 = off)
-	BatchMax      int           // dynamic-batching window cap (<=1 = off)
-	BatchLinger   time.Duration // dynamic-batching max linger (0 = default)
-	Quotas        string        // per-model quotas "model=n,model=n"
-	PriorityMix   string        // "I:B:E" weights for request priorities
-	CacheDir      string        // persistent engine cache dir ("" = off)
-	AsyncCompile  bool          // serve first-seen signatures via fallback while compiling
-	HTTP          string        // observability listen address ("" = off)
-	TraceOut      string        // write Chrome trace_event file here ("" = off)
-	TraceLimit    int           // request-trace ring capacity (0 = default)
-	Serve         string        // fleet HTTP listen address ("" = trace-replay mode)
-	ModelRepo     string        // model repository directory (fleet mode)
-	Watch         time.Duration // repository poll interval (0 = off)
+	Models       string        // comma-separated zoo model names
+	Dist         string        // workload distribution name
+	Device       string        // device model name
+	Requests     int           // trace length
+	Workers      int           // client goroutines == server MaxConcurrent
+	Queue        int           // admission queue depth
+	MaxBatch     int           // trace batch bound
+	MaxSeq       int           // trace sequence-length bound
+	Deadline     time.Duration // per-request deadline (0 = none)
+	Warm         bool          // precompile before replaying
+	Seed         uint64        // trace generator seed
+	Faults       string        // fault-injection spec ("" = no faults)
+	FaultSeed    uint64        // fault injector seed
+	DrainTimeout time.Duration // graceful-shutdown deadline
+	MemBudget    int64         // pooled-memory budget in bytes (0 = off)
+	Watchdog     float64       // hung-request watchdog multiple (0 = off)
+	BatchMax     int           // dynamic-batching window cap (<=1 = off)
+	BatchLinger  time.Duration // dynamic-batching max linger (0 = default)
+	Quotas       string        // per-model quotas "model=n,model=n"
+	PriorityMix  string        // "I:B:E" weights for request priorities
+	CacheDir     string        // persistent engine cache dir ("" = off)
+	AsyncCompile bool          // serve first-seen signatures via fallback while compiling
+	HTTP         string        // observability listen address ("" = off)
+	TraceOut     string        // write Chrome trace_event file here ("" = off)
+	TraceLimit   int           // request-trace ring capacity (0 = default)
+	Serve        string        // fleet HTTP listen address ("" = trace-replay mode)
+	ModelRepo    string        // model repository directory (fleet mode)
+	Watch        time.Duration // repository poll interval (0 = off)
 
 	// HTTP server hardening: slow-loris protection on every listener.
 	ReadHeaderTimeout time.Duration // time to read request headers
@@ -116,8 +115,6 @@ func main() {
 		"fault spec site:mode:rate[:latency][,...] (default $GODISC_FAULTS)")
 	flag.Uint64Var(&o.FaultSeed, "fault-seed", 1, "fault injector seed")
 	flag.DurationVar(&o.DrainTimeout, "drain-timeout", 5*time.Second, "graceful shutdown deadline")
-	flag.IntVar(&o.EngineWorkers, "engine-workers", 0,
-		"engine execution goroutines per request, sharing one server pool (0 = GODISC_WORKERS or GOMAXPROCS, 1 = sequential)")
 	flag.Int64Var(&o.MemBudget, "mem-budget", 0,
 		"pooled-buffer memory budget in bytes shared by all engines (0 = ungoverned)")
 	flag.Float64Var(&o.Watchdog, "watchdog", 0,
@@ -208,7 +205,7 @@ func run(o options, w io.Writer) error {
 	var tracer *godisc.Tracer
 	var reg *godisc.Metrics
 	scfg := godisc.ServerConfig{
-		MaxConcurrent: o.Workers, QueueDepth: o.Queue, Workers: o.EngineWorkers,
+		MaxConcurrent: o.Workers, QueueDepth: o.Queue,
 		MemoryBudgetBytes: o.MemBudget, WatchdogMultiple: o.Watchdog, ModelQuotas: quotas,
 		MaxBatchSize: o.BatchMax, MaxLinger: o.BatchLinger,
 		CacheDir: o.CacheDir, AsyncCompile: o.AsyncCompile,
@@ -426,7 +423,7 @@ func runServe(o options, w io.Writer) error {
 	reg := godisc.NewMetrics()
 	inj.SetMetrics(reg)
 	srv := godisc.NewServer(godisc.ServerConfig{
-		MaxConcurrent: o.Workers, QueueDepth: o.Queue, Workers: o.EngineWorkers,
+		MaxConcurrent: o.Workers, QueueDepth: o.Queue,
 		MemoryBudgetBytes: o.MemBudget, WatchdogMultiple: o.Watchdog, ModelQuotas: quotas,
 		MaxBatchSize: o.BatchMax, MaxLinger: o.BatchLinger,
 		CacheDir: o.CacheDir, AsyncCompile: o.AsyncCompile,

@@ -91,7 +91,6 @@ func TestServeObservabilityEndToEnd(t *testing.T) {
 	o.Warm = false // force at least one cache miss + compile span
 	o.Faults = "kernel-launch:panic:0.3,alloc:transient:0.25"
 	o.FaultSeed = 7
-	o.EngineWorkers = 4 // force the shared pool so its gauges register
 	o.HTTP = "127.0.0.1:0"
 	o.TraceOut = filepath.Join(t.TempDir(), "trace.json")
 
@@ -122,7 +121,7 @@ func TestServeObservabilityEndToEnd(t *testing.T) {
 			"godisc_breaker_short_circuits_total",
 			"godisc_queue_depth",
 			"godisc_inflight",
-			"godisc_worker_pool_size",
+			"godisc_exec_tasks_total",
 			`godisc_faults_total{mode="panic",site="kernel-launch"}`,
 			"godisc_pool_in_use_elems",
 			"godisc_go_heap_live_bytes",
@@ -133,6 +132,12 @@ func TestServeObservabilityEndToEnd(t *testing.T) {
 		} {
 			if !strings.Contains(body, series) {
 				t.Errorf("/metrics missing series %q", series)
+			}
+		}
+		// Engines run sequentially: no worker pool, no partitions.
+		for _, series := range []string{"godisc_worker_", "godisc_exec_partitions_total"} {
+			if strings.Contains(body, series) {
+				t.Errorf("/metrics still exports %q", series)
 			}
 		}
 		// The per-signature latency histogram must carry model and

@@ -196,8 +196,6 @@ type compileConfig struct {
 	disableSpecialization bool
 	verbose               func(format string, args ...any)
 	faults                *FaultInjector
-	workers               int
-	workerPool            *exec.WorkerPool
 	hook                  obs.Hook
 	metrics               *Metrics
 	governor              *ral.Governor
@@ -223,25 +221,11 @@ func (c *compileConfig) fingerprint() string {
 // WithDevice selects the GPU device model (default A10).
 func WithDevice(d *Device) Option { return func(c *compileConfig) { c.device = d } }
 
-// WithWorkers sets how many goroutines one Run may use: independent
-// kernels are scheduled concurrently over the compiled unit DAG and large
-// kernels are partitioned into ranges (see DESIGN.md §9). n == 1 forces
-// the sequential engine; n == 0 (the default) resolves to DefaultWorkers.
-// Parallel execution is bit-identical to sequential.
-func WithWorkers(n int) Option { return func(c *compileConfig) { c.workers = n } }
-
-// WorkerPool bounds the helper goroutines of engines that share it; pass
-// one pool to many engines (as NewServer does) so concurrent requests
-// multiplex a single set of helpers.
-type WorkerPool = exec.WorkerPool
-
-// NewWorkerPool returns a pool admitting n-1 helper goroutines (callers
-// always execute too). n <= 0 resolves to DefaultWorkers().
-func NewWorkerPool(n int) *WorkerPool { return exec.NewWorkerPool(n) }
-
-// DefaultWorkers is the default engine parallelism: GODISC_WORKERS if set
-// to a positive integer, else GOMAXPROCS.
-func DefaultWorkers() int { return exec.DefaultWorkers() }
+// WithWorkers does nothing: every engine runs its kernels in plan order
+// on the calling goroutine (see DESIGN.md §9).
+//
+// Deprecated: engines have a single, sequential executor; drop the option.
+func WithWorkers(n int) Option { return func(*compileConfig) {} }
 
 // WithoutStitch turns off kStitch fusion (ablation).
 func WithoutStitch() Option { return func(c *compileConfig) { c.disableStitch = true } }
@@ -293,7 +277,7 @@ func WithFaults(inj *FaultInjector) Option {
 
 // Observability surface, aliased from internal/obs. A Tracer records
 // hierarchical wall-time spans per request/run (infer → cache-lookup →
-// compile → exec → kernel/partition → fallback/retry), exportable as
+// compile → exec → kernel/library → fallback/retry), exportable as
 // structured JSON (WriteJSON) or a Chrome trace_event file
 // (WriteChromeTrace) that chrome://tracing and Perfetto open directly.
 // A Metrics registry holds counters/gauges/histograms in Prometheus text
@@ -329,7 +313,7 @@ func NewMetrics() *Metrics {
 
 // WithTracer threads an observer into the compiled engine: each Run opens
 // an `exec` span (under the request span, when serving) with per-unit
-// kernel/partition children. A nil hook is a no-op — engines compiled
+// kernel/library children. A nil hook is a no-op — engines compiled
 // without one pay a single pointer-nil branch per instrumentation point.
 func WithTracer(h Observer) Option {
 	return func(c *compileConfig) { c.hook = h }
@@ -424,18 +408,6 @@ func CompileWith(g *Graph, opts ...Option) (*Engine, error) {
 		eo.Codegen = codegen.Options{}
 	}
 	eo.Faults = cfg.faults
-	w := cfg.workers
-	if w == 0 {
-		if cfg.workerPool != nil {
-			w = cfg.workerPool.Size()
-		} else {
-			w = exec.DefaultWorkers()
-		}
-	}
-	if w > 1 {
-		eo.Workers = w
-		eo.WorkerPool = cfg.workerPool
-	}
 	eo.Hook = cfg.hook
 	eo.Metrics = cfg.metrics
 	eo.Governor = cfg.governor
@@ -585,12 +557,6 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 			}
 			eo := exec.DefaultOptions()
 			eo.Faults = rcfg.faults
-			if pool := srv.WorkerPool(); pool != nil && pool.Size() > 1 {
-				eo.Workers = pool.Size()
-				eo.WorkerPool = pool
-			} else {
-				eo.Workers = 1
-			}
 			eo.Hook = rcfg.hook
 			if cfg.Observer != nil {
 				eo.Hook = cfg.Observer
@@ -614,16 +580,8 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 		}
 	}
 	srv = serve.New(cfg, func(g *graph.Graph) (serve.Engine, error) {
-		// All of a server's engines share its worker pool, so helper
-		// goroutines are bounded per server rather than per engine. The
-		// compile function only runs after New returns, so srv is bound.
+		// The compile function only runs after New returns, so srv is bound.
 		copts := opts[:len(opts):len(opts)]
-		if pool := srv.WorkerPool(); pool != nil {
-			copts = append(copts, WithWorkers(pool.Size()),
-				func(c *compileConfig) { c.workerPool = pool })
-		} else {
-			copts = append(copts, WithWorkers(1))
-		}
 		// Engines inherit the server's observability so request spans
 		// continue into exec (via the run context) and engine/pool
 		// metrics land in the same registry /metrics serves.
@@ -647,9 +605,6 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 	// The shared buffer pool probes the alloc fault site with the same
 	// injector the engines' compile and kernel-launch sites use.
 	srv.BufferPool().SetFaults(rcfg.faults)
-	if cfg.Metrics != nil {
-		srv.WorkerPool().Observe(cfg.Metrics)
-	}
 	return srv
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"godisc/internal/tensor"
 )
 
 // buildPublicMLP builds a small model purely through the public API.
@@ -40,6 +42,38 @@ func TestPublicCompileAndRun(t *testing.T) {
 		}
 		if res.Profile.Launches == 0 {
 			t.Fatal("no launches recorded")
+		}
+	}
+}
+
+// TestDefaultEngineTimesEveryKernel: an engine compiled with default
+// options times every kernel launch of every run into the profile, so
+// Profile.KernelWallNs always measures the whole generated-kernel
+// substrate of a served request.
+func TestDefaultEngineTimesEveryKernel(t *testing.T) {
+	for _, name := range []string{"bert", "mlp"} {
+		m, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := CompileWith(m.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tensor.NewRNG(3)
+		for _, p := range [][2]int{{1, 4}, {4, 33}, {8, 96}} {
+			res, err := eng.Run(m.GenInputs(r, p[0], min(p[1], m.MaxSeq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := res.Profile
+			kernels := prof.Launches - prof.LibraryOps
+			if kernels == 0 || prof.KernelRuns != kernels {
+				t.Fatalf("%s %v: KernelRuns = %d, want %d kernel launches", name, p, prof.KernelRuns, kernels)
+			}
+			if prof.KernelWallNs <= 0 {
+				t.Fatalf("%s %v: KernelWallNs = %v, want > 0", name, p, prof.KernelWallNs)
+			}
 		}
 	}
 }

@@ -66,13 +66,8 @@ type CompiledParams struct {
 	// a warmup window, dominant dimension values are declared likely and
 	// the executable is relowered once with speculative variants.
 	AdaptiveSpeculation bool
-	// Workers is the engine's host-side execution parallelism (DAG
-	// scheduling + kernel partitioning). The zero value keeps execution
-	// sequential so strategy comparisons measure the cost model, not the
-	// host machine; discrun sets it for real-latency runs.
-	Workers int
 	// Hook, when set, opens an `exec` span (with per-unit kernel and
-	// partition children) on every invocation; discrun's -trace-out
+	// library children) on every invocation; discrun's -trace-out
 	// threads a tracer here. Nil costs one branch per run.
 	Hook obs.Hook
 	// Metrics, when set, registers the engine's execution counters and
@@ -197,7 +192,6 @@ func NewCompiled(g *graph.Graph, dev *device.Model, p CompiledParams) (*Compiled
 		Codegen:        p.Codegen,
 		HostDispatchNs: p.HostNsPerLaunch,
 		AliasViews:     true,
-		Workers:        p.Workers,
 		Hook:           p.Hook,
 		Metrics:        p.Metrics,
 	})

@@ -97,7 +97,6 @@ func (c *Compiled) maybeRespecialize(shapes [][]int) float64 {
 		Codegen:        c.params.Codegen,
 		HostDispatchNs: c.params.HostNsPerLaunch,
 		AliasViews:     true,
-		Workers:        c.params.Workers,
 	})
 	if err != nil {
 		// Respecialization is best effort: keep the existing executable.

@@ -123,9 +123,7 @@ func DynamicBatching(cfg Config, maxBatch, clients int) ([]BatchingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := exec.DefaultOptions()
-		o.Workers = 1
-		exe, err := exec.Compile(g, plan, dev, o)
+		exe, err := exec.Compile(g, plan, dev, exec.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -187,9 +185,7 @@ func e15Differential(cfg Config, m *models.Model, seq, maxBatch, clients int, ro
 		if err != nil {
 			return nil, err
 		}
-		o := exec.DefaultOptions()
-		o.Workers = 1
-		return exec.Compile(g, plan, dev, o)
+		return exec.Compile(g, plan, dev, exec.DefaultOptions())
 	}
 	batched := serve.New(serve.Config{
 		MaxConcurrent: 4, QueueDepth: 4 * clients,
@@ -325,4 +321,17 @@ func PrintDynamicBatching(w io.Writer, cfg Config, clients int, rows []BatchingR
 	fmt.Fprintf(w, " batched column is one full window's run divided by its members; runs\n")
 	fmt.Fprintf(w, " and wall come from a real server pair at the same offered load, and\n")
 	fmt.Fprintf(w, " every batched output is bit-identical to its solo run.)\n")
+}
+
+// bitsEqual compares two f32 buffers by bit pattern.
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -48,7 +48,7 @@ type ColdStartRow struct {
 }
 
 // e16Compile is the full pipeline as a CompileFunc with an invocation
-// counter, single-worker so rows are comparable across runs.
+// counter.
 func e16Compile(dev *device.Model, calls *int64) serve.CompileFunc {
 	return func(g *graph.Graph) (serve.Engine, error) {
 		atomic.AddInt64(calls, 1)
@@ -59,18 +59,14 @@ func e16Compile(dev *device.Model, calls *int64) serve.CompileFunc {
 		if err != nil {
 			return nil, err
 		}
-		o := exec.DefaultOptions()
-		o.Workers = 1
-		return exec.Compile(g, plan, dev, o)
+		return exec.Compile(g, plan, dev, exec.DefaultOptions())
 	}
 }
 
 // e16Codecs is the engine image codec pair the public layer installs.
 func e16Codecs(dev *device.Model) (func([]byte) (serve.Engine, error), func(serve.Engine) ([]byte, error)) {
 	dec := func(payload []byte) (serve.Engine, error) {
-		o := exec.DefaultOptions()
-		o.Workers = 1
-		return exec.DecodeImage(payload, dev, o)
+		return exec.DecodeImage(payload, dev, exec.DefaultOptions())
 	}
 	enc := func(e serve.Engine) ([]byte, error) {
 		exe, ok := e.(*exec.Executable)

@@ -12,8 +12,8 @@ import (
 // TraceRun replays a model's standard serving trace through a BladeDISC
 // engine with the tracer's hook installed, actually executing each
 // request (unlike the simulated experiment replays) so the tracer
-// records the full exec span tree — per-unit kernel spans and partition
-// children. It backs discbench's -trace-out flag and returns the number
+// records the full exec span tree — per-unit kernel and library spans.
+// It backs discbench's -trace-out flag and returns the number
 // of requests executed.
 func TraceRun(cfg Config, model string, tracer *obs.Tracer) (int, error) {
 	dev, err := cfg.device()

@@ -146,45 +146,6 @@ type Kernel struct {
 	FlopsPerPoint int
 	// Passes is the number of row sweeps (1 for kLoop/kInput).
 	Passes int
-	// ParallelOuter declares that every variant's outer loop writes disjoint
-	// output elements per iteration, so contiguous outer-index ranges may
-	// run concurrently via kir RunRange. Kernels with ScratchRows > 0
-	// additionally require private scratch buffers per concurrent range
-	// (scratch is indexed per-row, shared across rows within a range only).
-	ParallelOuter bool
-	// GrainPoints is the minimum number of iteration-space points one
-	// partition chunk should cover; 0 means never partition. Derived at
-	// lowering time from per-point arithmetic weight.
-	GrainPoints int
-	// Partial, when non-nil, is the partials+combine decomposition of a
-	// full reduction — emitted only for max/min, whose branchy combine is
-	// bit-exact under re-association (unlike float add).
-	Partial *PartialReduce
-}
-
-// PartialReduce splits a full reduction (output numel 1) into P per-worker
-// partials plus a sequential combine. The partial program appends one
-// runtime dim "__P" after the kernel's own dims and one partials buffer
-// (len P) after the kernel's own buffers; outer iteration p folds input
-// chunk [p*ceil(N/P), min((p+1)*ceil(N/P), N)) in ascending order, so with
-// the combine folding partials in order the overall fold is an order-
-// preserving re-association of the sequential fold — bit-identical for
-// max/min on NaN-free data.
-type PartialReduce struct {
-	Partial *kir.Compiled
-	Combine *kir.Compiled
-}
-
-// grainPoints picks the minimum iteration-space points a partition chunk
-// should cover: heavier per-point arithmetic amortizes scheduling overhead
-// sooner, so the grain shrinks as FlopsPerPoint grows.
-func grainPoints(flopsPerPoint int) int {
-	const baseGrain = 32768
-	g := baseGrain / (1 + flopsPerPoint)
-	if g < 1024 {
-		g = 1024
-	}
-	return g
 }
 
 // Select returns the first variant whose guard accepts info.

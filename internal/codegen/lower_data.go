@@ -21,24 +21,17 @@ func (lw *lowerer) lowerDataKernel() (*Kernel, error) {
 		prog *kir.Kernel
 		err  error
 		eff  = 0.7
-		// transpose/slice store at the outer index and gather writes a
-		// disjoint row per outer index; concat/pad have multiple top-level
-		// loops and stay sequential.
-		parallel = false
 	)
 	switch n.Kind {
 	case graph.OpTranspose:
 		prog, err = lw.transposeKernel(n)
 		eff = 0.55 // strided global reads
-		parallel = true
 	case graph.OpConcat:
 		prog, err = lw.concatKernel(n)
 	case graph.OpSlice:
 		prog, err = lw.sliceKernel(n)
-		parallel = true
 	case graph.OpGather:
 		prog, err = lw.gatherKernel(n)
-		parallel = true
 	case graph.OpPad:
 		prog, err = lw.padKernel(n)
 	default:
@@ -57,8 +50,6 @@ func (lw *lowerer) lowerDataKernel() (*Kernel, error) {
 		Dims:          lw.dims,
 		FlopsPerPoint: 0,
 		Passes:        1,
-		ParallelOuter: parallel,
-		GrainPoints:   grainPoints(0),
 		Variants: []*Variant{{
 			Name: "generic", Code: cp,
 			MemEfficiency: eff, ComputeEfficiency: 0.4,

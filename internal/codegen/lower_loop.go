@@ -120,24 +120,12 @@ func (lw *lowerer) lowerLoopKernel() (*Kernel, error) {
 		})
 	}
 
-	// Outer iterations write disjoint outputs only when every output store
-	// is the identity flat index; broadcast-indexed outputs may collide
-	// across ranges.
-	parallel := true
-	for _, out := range grp.Outputs {
-		if !lw.ctx.ShapeEqual(out.Shape, grp.Domain) && !lw.ctx.ProductEqual(out.Shape, grp.Domain) {
-			parallel = false
-			break
-		}
-	}
 	k := &Kernel{
 		Name:          name,
 		Group:         grp,
 		Dims:          lw.dims,
 		FlopsPerPoint: flops,
 		Passes:        1,
-		ParallelOuter: parallel,
-		GrainPoints:   grainPoints(flops),
 	}
 	dimNames := lw.dimNames()
 	for _, v := range variants {
@@ -165,8 +153,7 @@ type rowSplitInfo struct {
 // classifyRowSplit decides whether the group's flat loop can restructure
 // into nested row loops: every out-of-group operand must index the domain
 // identically, be a constant (all-ones shape), or address a pure domain
-// suffix; every output must be identity-indexed (so rows stay disjoint and
-// ParallelOuter holds).
+// suffix; every output must be identity-indexed (so rows stay disjoint).
 func (lw *lowerer) classifyRowSplit() (rowSplitInfo, bool) {
 	grp := lw.g
 	if len(grp.Domain) < 2 {
@@ -266,7 +253,7 @@ func (lw *lowerer) rowSplitIndex(s symshape.Shape) (kir.IntExpr, error) {
 
 // lowerRowSplitKernel emits the nested row-loop form of a broadcast group:
 //
-//	for ro in 0..total/L {           // partitionable outer rows
+//	for ro in 0..total/L {           // outer rows
 //	  rb := ro * L
 //	  rbK := rb % suffixProd(K)      // one per longer broadcast suffix
 //	  for rj in 0..L (stride-1) { ... body with invariant bases ... }
@@ -312,8 +299,6 @@ func (lw *lowerer) lowerRowSplitKernel(name string, rs rowSplitInfo) (*Kernel, e
 		Dims:          lw.dims,
 		FlopsPerPoint: flops,
 		Passes:        1,
-		ParallelOuter: true, // outputs are identity-indexed; rows are disjoint
-		GrainPoints:   grainPoints(flops),
 		Variants: []*Variant{{
 			Name: "rows", Code: cp,
 			MemEfficiency: 0.95, ComputeEfficiency: 0.6,
@@ -509,88 +494,12 @@ func (lw *lowerer) lowerGeneralReduce(n *graph.Node) (*Kernel, error) {
 		Dims:          lw.dims,
 		FlopsPerPoint: 1,
 		Passes:        1,
-		ParallelOuter: true,
-		GrainPoints:   grainPoints(1),
 		Variants: []*Variant{{
 			Name: "generic", Code: cp,
 			MemEfficiency: 0.6, ComputeEfficiency: 0.4,
 		}},
 	}
-	// Full reductions have an outer extent of 1, so outer-loop partitioning
-	// cannot help; emit the partials+combine decomposition instead — but only
-	// for max/min, whose branchy combine re-associates bit-exactly.
-	if len(keptDims) == 0 &&
-		(n.Reduce.Kind == tensor.ReduceMax || n.Reduce.Kind == tensor.ReduceMin) {
-		pr, err := lw.partialReduce(n, inBuf)
-		if err != nil {
-			return nil, err
-		}
-		k.Partial = pr
-	}
 	return k, nil
-}
-
-// partialReduce builds the partials+combine programs for a full reduction.
-// The partial program's outer loop over p is ParallelOuter by construction
-// (each p writes only partials[p]); the combine is sequential and cheap
-// (P elements).
-func (lw *lowerer) partialReduce(n *graph.Node, inBuf int) (*PartialReduce, error) {
-	combine, id := reduceCombine(n.Reduce.Kind)
-	in := n.Inputs[0]
-	total := lw.numelExpr(in.Shape)
-	p := kir.IDim("__P")
-	partialsBuf := lw.nBufs
-	// chunk = ceil(N/P); the last chunk's extent clamps to N - p*chunk,
-	// which can go negative for trailing p when P > N — the loop then just
-	// skips and the partial stays at the identity, a no-op in the combine.
-	chunk := kir.Div(kir.Add(total, kir.IBin{Op: kir.ISub, A: p, B: kir.IConst(1)}), p)
-	partial := &kir.Kernel{
-		Name:       fmt.Sprintf("reduce_g%d_partial", lw.g.ID),
-		NumBuffers: lw.nBufs + 1,
-		DimNames:   append(lw.dimNames(), "__P"),
-		Body: []kir.Stmt{
-			kir.SLoop{Var: "p", Extent: p, Body: []kir.Stmt{
-				kir.SSetInt{Var: "lo", Val: kir.Mul(kir.IVar("p"), chunk)},
-				kir.SSet{Var: "acc", Val: kir.FConst(id)},
-				kir.SLoop{
-					Var:    "q",
-					Extent: kir.Min(chunk, kir.IBin{Op: kir.ISub, A: total, B: kir.IVar("lo")}),
-					Flags:  kir.LoopStride1,
-					Body: []kir.Stmt{
-						kir.SSet{Var: "acc", Val: kir.FBin{
-							Fn: combine,
-							A:  kir.FLocal("acc"),
-							B:  kir.FLoad{Buf: inBuf, Idx: kir.Add(kir.IVar("lo"), kir.IVar("q"))},
-						}},
-					},
-				},
-				kir.SStore{Buf: partialsBuf, Idx: kir.IVar("p"), Val: kir.FLocal("acc")},
-			}},
-		},
-	}
-	comb := &kir.Kernel{
-		Name:       fmt.Sprintf("reduce_g%d_combine", lw.g.ID),
-		NumBuffers: 2,
-		DimNames:   []string{"__P"},
-		Body: []kir.Stmt{
-			kir.SSet{Var: "acc", Val: kir.FConst(id)},
-			kir.SLoop{Var: "p", Extent: kir.IDim("__P"), Flags: kir.LoopStride1, Body: []kir.Stmt{
-				kir.SSet{Var: "acc", Val: kir.FBin{
-					Fn: combine, A: kir.FLocal("acc"), B: kir.FLoad{Buf: 0, Idx: kir.IVar("p")},
-				}},
-			}},
-			kir.SStore{Buf: 1, Idx: kir.IConst(0), Val: kir.FLocal("acc")},
-		},
-	}
-	pc, err := partial.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	cc, err := comb.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	return &PartialReduce{Partial: pc, Combine: cc}, nil
 }
 
 // reduceCombine maps a reduce kind to its kir combine function and

@@ -73,21 +73,6 @@ func (lw *lowerer) lowerRowKernel() (*Kernel, error) {
 		}
 	}
 
-	// Each outer iteration owns one row: per-row outputs store at r and
-	// per-point outputs at the flat index — both disjoint across rows —
-	// unless a per-point output is broadcast-indexed. Scratch rows are
-	// indexed per row within a range, so concurrent ranges need private
-	// scratch (declared via ScratchRows; the executor allocates per chunk).
-	parallel := true
-	for _, out := range grp.Outputs {
-		if plan.class[out] != classPoint {
-			continue
-		}
-		if !lw.ctx.ShapeEqual(out.Shape, domain) && !lw.ctx.ProductEqual(out.Shape, domain) {
-			parallel = false
-			break
-		}
-	}
 	k := &Kernel{
 		Name:          fmt.Sprintf("row_g%d", grp.ID),
 		Group:         grp,
@@ -95,8 +80,6 @@ func (lw *lowerer) lowerRowKernel() (*Kernel, error) {
 		ScratchRows:   len(plan.staged),
 		FlopsPerPoint: flops,
 		Passes:        plan.passes,
-		ParallelOuter: parallel,
-		GrainPoints:   grainPoints(flops),
 	}
 	dimNames := lw.dimNames()
 	prog.DimNames = dimNames

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"godisc/internal/discerr"
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
+	"godisc/internal/models"
 	"godisc/internal/ral"
 	"godisc/internal/symshape"
 	"godisc/internal/tensor"
@@ -104,8 +106,6 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	shared := ral.NewPool()
 	sharedOpts := DefaultOptions()
 	sharedOpts.Pool = shared
-	parallelShared := sharedOpts
-	parallelShared.Workers = 2
 	mk := func(build func(*graph.Graph), opts Options) *Executable {
 		g := graph.New("shared-pool")
 		build(g)
@@ -118,7 +118,7 @@ func TestSharedPoolAcrossEngines(t *testing.T) {
 	models := []model{
 		{mk(buildServingModelGraph, DefaultOptions()), mk(buildServingModelGraph, sharedOpts),
 			func(r *tensor.RNG, i int) *tensor.Tensor { return tensor.RandN(r, 1, 1+i%4, 1+(7*i)%40, 16) }},
-		{mk(buildFootprintModel, DefaultOptions()), mk(buildFootprintModel, parallelShared),
+		{mk(buildFootprintModel, DefaultOptions()), mk(buildFootprintModel, sharedOpts),
 			func(r *tensor.RNG, i int) *tensor.Tensor { return tensor.RandN(r, 1, 1+(5*i)%64, 32) }},
 	}
 	for _, m := range models {
@@ -201,6 +201,53 @@ func TestRunContextCancellation(t *testing.T) {
 	// The engine still works after a cancelled run.
 	if _, err := e.Run([]*tensor.Tensor{in}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelCancellationMidRun: contexts cancelled at staggered points
+// while a bert run is in flight stop it between units with ctx.Err(), leak
+// nothing from the pool, and leave the engine serving the same bits.
+func TestParallelCancellationMidRun(t *testing.T) {
+	m, err := models.ByName("bert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := compile(t, m.Build(), fusion.DefaultConfig())
+	ins := m.GenInputs(tensor.NewRNG(5), 8, 96)
+	want, err := be.Run(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled := 0
+	for i := 1; i < 12; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(time.Duration(i)*150*time.Microsecond, cancel)
+		_, err := be.RunContext(ctx, ins)
+		timer.Stop()
+		cancel()
+		switch {
+		case err == nil:
+			// Cancel landed after completion: fine.
+		case errors.Is(err, context.Canceled):
+			cancelled++
+		default:
+			t.Fatalf("iter %d: unexpected error %v", i, err)
+		}
+		if st := be.Pool.Stats(); st.InUseElems != 0 {
+			t.Fatalf("iter %d: aborted run leaked %d elems", i, st.InUseElems)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no iteration observed a cancellation")
+	}
+	got, err := be.Run(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Outputs {
+		if !bitEqual(got.Outputs[i].F32(), want.Outputs[i].F32()) {
+			t.Fatalf("output %d differs after cancelled runs", i)
+		}
 	}
 }
 

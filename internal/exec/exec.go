@@ -6,10 +6,9 @@
 // device model for simulated time. One Executable serves arbitrary input
 // shapes — the whole point of the dynamic-shape pipeline.
 //
-// Execution comes in two flavors sharing all state machinery: a sequential
-// walk over the units (the legacy path, and the differential baseline) and
-// a DAG-scheduled parallel engine (sched.go) that runs independent units
-// concurrently and partitions large kernels across a worker pool.
+// A run walks the compiled task list (tasks.go) in plan order on the
+// calling goroutine: one execution order, which is also the order the
+// footprint plan (footprint.go) replays at compile time.
 package exec
 
 import (
@@ -47,19 +46,10 @@ type Options struct {
 	// Faults, when set, probes the compile / alloc / kernel-launch fault
 	// sites so failure paths are testable (see internal/faultinject).
 	Faults *faultinject.Injector
-	// Workers is the number of goroutines executing one run (the calling
-	// goroutine included). <= 1 keeps the legacy sequential walk — the
-	// zero value, so embedders that built Options by hand are unaffected;
-	// the public godisc API opts into DefaultWorkers().
-	Workers int
-	// WorkerPool, when non-nil, bounds helper goroutines across every
-	// engine sharing it (one pool per serving process). Nil with
-	// Workers > 1 gives the engine a private pool of Workers-1 helpers.
-	WorkerPool *WorkerPool
 	// Hook, when non-nil, receives execution spans: an `exec` span per
 	// run (attached to the request span carried in the context, if any)
-	// with per-unit kernel/library children and per-chunk partition
-	// children. Nil keeps the hot path at a single pointer-nil branch.
+	// with per-unit kernel/library children. Nil keeps the hot path at a
+	// single pointer-nil branch.
 	Hook obs.Hook
 	// Metrics, when non-nil, registers this engine's execution counters.
 	// Buffer-pool gauges belong to the pool's owner (Pool.Observe), not
@@ -79,8 +69,7 @@ type Options struct {
 	Pool *ral.Pool
 }
 
-// DefaultOptions mirrors the BladeDISC configuration. Execution stays
-// sequential; callers opt into the parallel engine via Workers.
+// DefaultOptions mirrors the BladeDISC configuration.
 func DefaultOptions() Options {
 	return Options{Codegen: codegen.DefaultOptions(), HostDispatchNs: 1500, AliasViews: true}
 }
@@ -114,11 +103,10 @@ type Executable struct {
 	// constBufs holds flattened constants, computed once at compile time.
 	constBufs map[*graph.Node][]float32
 
-	// Task DAG and slot plan (see sched.go): tasks are the non-alias units
-	// with producer/consumer edges; every runtime value (unit output,
-	// referenced parameter or constant) has a slot; refs0 seeds the
-	// per-buffer reference counts that free pooled buffers correctly even
-	// when tasks complete out of order.
+	// Task list and slot plan (see tasks.go): tasks are the non-alias
+	// units in plan order; every runtime value (unit output, referenced
+	// parameter or constant) has a slot; refs0 seeds the per-slot
+	// reference counts that return a pooled buffer after its last reader.
 	nSlots      int
 	tasks       []*task
 	refs0       []int32
@@ -144,8 +132,7 @@ type Executable struct {
 
 	// Cached metric handles (nil when Options.Metrics is unset; every
 	// method on a nil handle no-ops, so call sites stay unguarded).
-	mTasks      *obs.Counter
-	mPartitions *obs.Counter
+	mTasks *obs.Counter
 }
 
 // Compile lowers every group of the plan. The graph must be decomposed,
@@ -155,7 +142,7 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	if err := opts.Faults.Check(faultinject.SiteCompile); err != nil {
 		return nil, fmt.Errorf("exec: compiling %s: %w", g.Name, err)
 	}
-	opts = opts.withPools()
+	opts = opts.withPool()
 	e := &Executable{
 		Graph:     g,
 		Plan:      plan,
@@ -196,17 +183,13 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	e.buildFootprint()
 	if reg := opts.Metrics; reg != nil {
 		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
-		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
 	}
 	return e, nil
 }
 
-// withPools fills in the private worker and buffer pools an engine gets
-// when its caller shares none.
-func (opts Options) withPools() Options {
-	if opts.Workers > 1 && opts.WorkerPool == nil {
-		opts.WorkerPool = NewWorkerPool(opts.Workers)
-	}
+// withPool fills in the private buffer pool an engine gets when its caller
+// shares none.
+func (opts Options) withPool() Options {
 	if opts.Pool == nil {
 		opts.Pool = ral.NewPool()
 		opts.Pool.SetFaults(opts.Faults)
@@ -305,22 +288,17 @@ func (e *Executable) Run(inputs []*tensor.Tensor) (*Result, error) {
 // state lives in a fresh runCtx, so any number of goroutines may call
 // RunContext on one Executable concurrently; the shared buffer pool is
 // internally locked and everything else on the Executable is immutable
-// after Compile. With Options.Workers > 1 the run is scheduled over the
-// unit DAG by the parallel engine (sched.go), which also checks
-// cancellation at partition granularity; the sequential walk checks it
-// between units.
+// after Compile. Cancellation is checked between units.
 //
 // A panic during execution (a crashing kernel, real or injected) is
 // recovered and returned as an error wrapping discerr.ErrKernelPanic, so
 // one bad kernel degrades its request instead of the process. Pooled
 // buffers are still released on that path: the run context's deferred
-// release runs during unwinding, before the recover here. Parallel worker
-// goroutines recover panics locally (sched.go) and drain the DAG before
-// the error is returned here.
+// release runs during unwinding, before the recover here.
 func (e *Executable) RunContext(ctx context.Context, inputs []*tensor.Tensor) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, panicErr(r)
+			res, err = nil, fmt.Errorf("exec: recovered: %v: %w", r, discerr.ErrKernelPanic)
 		}
 	}()
 	g := e.Graph
@@ -337,14 +315,10 @@ func (e *Executable) RunContext(ctx context.Context, inputs []*tensor.Tensor) (r
 	if err != nil {
 		return nil, err
 	}
-	workers, pool := e.opts.Workers, e.opts.WorkerPool
-	if workers <= 0 && pool != nil {
-		workers = pool.Size()
-	}
 	// Memory governance: reserve this run's peak pooled footprint before
 	// the first allocation, so concurrent runs can never overshoot the
 	// byte budget no matter how their allocations interleave.
-	unreserve, err := e.reserveFootprint(ctx, vals, workers)
+	unreserve, err := e.reserveFootprint(ctx, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -373,11 +347,7 @@ func (e *Executable) RunContext(ctx context.Context, inputs []*tensor.Tensor) (r
 		}()
 	}
 
-	if workers > 1 && len(e.tasks) > 1 {
-		if err := e.runParallel(rc, workers, pool); err != nil {
-			return nil, err
-		}
-	} else if err := e.runSequential(rc); err != nil {
+	if err := e.runTasks(rc); err != nil {
 		return nil, err
 	}
 
@@ -395,10 +365,9 @@ func (e *Executable) RunContext(ctx context.Context, inputs []*tensor.Tensor) (r
 	return &Result{Outputs: outs, Profile: rc.prof}, nil
 }
 
-// runSequential is the legacy executor: tasks in plan order on the calling
-// goroutine, cancellation checked between units. It is the differential
-// baseline the parallel engine must match bit-for-bit.
-func (e *Executable) runSequential(rc *runCtx) error {
+// runTasks walks the tasks in plan order on the calling goroutine,
+// checking cancellation between units.
+func (e *Executable) runTasks(rc *runCtx) error {
 	for _, t := range e.tasks {
 		if err := rc.cancelled(); err != nil {
 			return err
@@ -410,9 +379,9 @@ func (e *Executable) runSequential(rc *runCtx) error {
 		}
 		var err error
 		if t.u.isLib {
-			err = e.runLibrary(rc, t, rc.prof)
+			err = e.runLibrary(rc, t)
 		} else {
-			err = e.runKernelSeq(rc, t)
+			err = e.runKernel(rc, t)
 		}
 		sp.End()
 		e.mTasks.Inc()
@@ -429,8 +398,8 @@ func (e *Executable) runSequential(rc *runCtx) error {
 }
 
 // runLibrary executes a matmul/conv through the BLAS substitute and
-// charges the library cost model into prof.
-func (e *Executable) runLibrary(rc *runCtx, t *task, prof *ral.Profiler) error {
+// charges the library cost model into the run's profile.
+func (e *Executable) runLibrary(rc *runCtx, t *task) error {
 	u := t.u
 	n := u.group.Nodes[0]
 	aBuf, err := rc.bufOf(t.inSlots[0])
@@ -471,8 +440,8 @@ func (e *Executable) runLibrary(rc *runCtx, t *task, prof *ral.Profiler) error {
 	copy(buf, out.F32())
 	rc.setOwned(t.outSlots[0], buf)
 	name, bytes, flops := libraryCost(n.Kind, aShape, bShape, out.Shape())
-	prof.Host(e.opts.HostDispatchNs)
-	prof.Library(name, bytes, flops, e.Dev.MatmulTimeNs(bytes, flops))
+	rc.prof.Host(e.opts.HostDispatchNs)
+	rc.prof.Library(name, bytes, flops, e.Dev.MatmulTimeNs(bytes, flops))
 	return nil
 }
 
@@ -495,12 +464,9 @@ func libraryCost(kind graph.OpKind, aShape, bShape, oShape []int) (string, float
 }
 
 // launch is a prepared kernel invocation: variant selected, dims bound,
-// input and output buffers resolved (scratch is allocated by whichever
-// executor runs it — per launch sequentially, per chunk when partitioned,
-// since scratch rows are indexed per row and must be private to each
-// concurrent range).
+// input and output buffers resolved (scratch rows are allocated by
+// runKernel).
 type launch struct {
-	t       *task
 	k       *codegen.Kernel
 	variant *codegen.Variant
 	bufs    [][]float32 // inputs then outputs
@@ -508,14 +474,6 @@ type launch struct {
 	numel   int
 	rowLen  int
 	bytes   float64
-	// outer is the selected variant's outer-loop extent when the kernel
-	// may be range-partitioned; 0 otherwise.
-	outer int
-	// Partial-reduce state (parallel engine only): the partials buffer and
-	// the argument vectors of the partial program.
-	partials []float32
-	pbufs    [][]float32
-	pdims    []int
 }
 
 // prepareKernel sizes the launch: evaluates dims, selects the variant,
@@ -557,20 +515,16 @@ func (e *Executable) prepareKernel(rc *runCtx, t *task) (*launch, error) {
 		bufs = append(bufs, buf)
 		bytes += float64(4 * len(buf))
 	}
-	outer := 0
-	if k.ParallelOuter && variant.Code.Partitionable() {
-		outer = variant.Code.OuterExtent(dims)
-	}
 	return &launch{
-		t: t, k: k, variant: variant, bufs: bufs, dims: dims,
-		numel: numel, rowLen: rowLen, bytes: bytes, outer: outer,
+		k: k, variant: variant, bufs: bufs, dims: dims,
+		numel: numel, rowLen: rowLen, bytes: bytes,
 	}, nil
 }
 
-// runKernelSeq executes a prepared kernel whole on the calling goroutine,
-// preserving the legacy order of pool and fault-site probes (output
-// allocs, scratch allocs, launch check, run).
-func (e *Executable) runKernelSeq(rc *runCtx, t *task) error {
+// runKernel prepares and executes one kernel launch, timing the kernel
+// program into the run's profile. Pool and fault-site probes run in a
+// fixed order: output allocs, scratch allocs, launch check, run.
+func (e *Executable) runKernel(rc *runCtx, t *task) error {
 	ln, err := e.prepareKernel(rc, t)
 	if err != nil {
 		return err
@@ -598,68 +552,12 @@ func (e *Executable) runKernelSeq(rc *runCtx, t *task) error {
 		return err
 	}
 	rc.prof.KernelWall(float64(time.Since(start)))
-	e.chargeKernel(rc.prof, ln, 1)
+	e.chargeKernel(rc.prof, ln)
 	return nil
 }
 
-// runWholeKernel executes a prepared kernel whole on a parallel worker
-// (the launch fault check already ran in the scheduler).
-func (e *Executable) runWholeKernel(rc *runCtx, ln *launch) error {
-	bufs := ln.bufs
-	var scratches [][]float32
-	defer func() {
-		for _, sc := range scratches {
-			rc.sess.Put(sc)
-		}
-	}()
-	for i := 0; i < ln.k.ScratchRows; i++ {
-		scratch, err := rc.sess.Get(ln.rowLen)
-		if err != nil {
-			return err
-		}
-		scratches = append(scratches, scratch)
-		bufs = append(bufs, scratch)
-	}
-	return ln.variant.Code.Run(bufs, ln.dims)
-}
-
-// runChunk executes outer-loop range [lo, hi) of a prepared kernel, with
-// chunk-private scratch rows (scratch is indexed per row and would race if
-// shared across concurrent ranges). For partial reductions the range is
-// over partial indices of the partial program instead.
-func (e *Executable) runChunk(rc *runCtx, ln *launch, lo, hi int) error {
-	if ln.partials != nil {
-		return ln.k.Partial.Partial.RunRange(ln.pbufs, ln.pdims, lo, hi)
-	}
-	bufs := ln.bufs
-	if n := ln.k.ScratchRows; n > 0 {
-		bufs = make([][]float32, len(ln.bufs), len(ln.bufs)+n)
-		copy(bufs, ln.bufs)
-		var scratches [][]float32
-		defer func() {
-			for _, sc := range scratches {
-				rc.sess.Put(sc)
-			}
-		}()
-		for i := 0; i < n; i++ {
-			scratch, err := rc.sess.Get(ln.rowLen)
-			if err != nil {
-				return err
-			}
-			scratches = append(scratches, scratch)
-			bufs = append(bufs, scratch)
-		}
-		return ln.variant.Code.RunRange(bufs, ln.dims, lo, hi)
-	}
-	return ln.variant.Code.RunRange(bufs, ln.dims, lo, hi)
-}
-
-// chargeKernel charges a completed kernel launch into prof. Simulated
-// device time is identical whether the host ran the kernel whole or in
-// chunks — the analytic model already assumes a parallel device; chunking
-// buys host wall-clock time, which is what the E14 benchmark measures.
-// Chunked launches are counted in Profiler.Partitions.
-func (e *Executable) chargeKernel(prof *ral.Profiler, ln *launch, chunks int) {
+// chargeKernel charges a completed kernel launch into prof.
+func (e *Executable) chargeKernel(prof *ral.Profiler, ln *launch) {
 	k := ln.k
 	// Cost: inputs + outputs traffic (intermediates live in registers or
 	// shared-memory scratch), with a small synchronization surcharge per
@@ -673,10 +571,6 @@ func (e *Executable) chargeKernel(prof *ral.Profiler, ln *launch, chunks int) {
 	}
 	prof.Host(e.opts.HostDispatchNs)
 	prof.Launch(k.Name, ln.variant.Name, cost.Bytes, cost.Flops, e.Dev.KernelTimeNs(cost))
-	if chunks > 1 {
-		prof.Partitions += chunks
-		e.mPartitions.Add(int64(chunks))
-	}
 }
 
 // spanInfo names the task's span: "library" with the op kind for library

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"godisc/internal/device"
@@ -51,6 +52,42 @@ func checkAgainstReference(t *testing.T, e *Executable, ref *graph.Graph, inputs
 		}
 	}
 	return res
+}
+
+// bitEqual compares two f32 buffers exactly (NaN-safe: identical bit
+// patterns compare equal).
+func bitEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireBitIdentical runs both engines on the same inputs and fails on
+// any bitwise difference.
+func requireBitIdentical(t *testing.T, want, got *Executable, inputs []*tensor.Tensor, label string) {
+	t.Helper()
+	w, err := want.Run(inputs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	g, err := got.Run(inputs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(g.Outputs) != len(w.Outputs) {
+		t.Fatalf("%s: output count %d vs %d", label, len(g.Outputs), len(w.Outputs))
+	}
+	for i := range w.Outputs {
+		if !bitEqual(g.Outputs[i].F32(), w.Outputs[i].F32()) {
+			t.Fatalf("%s: output %d differs bit-for-bit", label, i)
+		}
+	}
 }
 
 // buildTwice builds the same model into two graphs (one compiled, one kept

@@ -2,20 +2,13 @@
 // run of this executable hold at once? The BladeDISC++ observation is that
 // symbolic shapes make this answerable before any request arrives — the
 // shape program already computes every buffer extent from the input dims,
-// and the task DAG's refcounts say which buffers are alive together. The
+// and the task list's refcounts say which buffers are alive together. The
 // plan built here is evaluated per run (concrete dims bound by the shape
 // program) to reserve against the ral.Governor before any allocation, and
 // against declared dim ranges (symshape.UpperBound) for capacity planning.
 //
-// The estimate is an upper bound on the pool accounting of any execution
-// order the engine can take:
-//
-//   - sequential engines walk tasks in plan order, so the peak is the max
-//     over tasks of (buffers alive during that task + its scratch rows);
-//   - parallel engines may interleave tasks arbitrarily, so the bound is
-//     the sum of every task output plus worst-case concurrent scratch
-//     (workers chunks of one kernel each allocate private rows) plus one
-//     per-worker partials buffer per reduction kernel.
+// A run walks the tasks in plan order, so its peak is the max over tasks
+// of (buffers alive during that task + its scratch rows).
 //
 // Sizes round to the pool's power-of-two classes (ral.RoundElems) so the
 // reservation matches Pool accounting exactly, not just asymptotically.
@@ -45,7 +38,7 @@ type footprintPlan struct {
 	live [][]int32
 }
 
-// buildFootprint derives the plan from the task DAG and refcounts; called
+// buildFootprint derives the plan from the task list and refcounts; called
 // once at Compile, after buildSchedule.
 func (e *Executable) buildFootprint() {
 	fp := &footprintPlan{
@@ -62,7 +55,7 @@ func (e *Executable) buildFootprint() {
 			}
 		}
 	}
-	// Replay the sequential refcount plan symbolically to capture which
+	// Replay the run's refcount plan symbolically to capture which
 	// pooled buffers coexist at each step.
 	refs := append([]int32(nil), e.refs0...)
 	held := map[int]bool{}
@@ -88,19 +81,6 @@ func (e *Executable) buildFootprint() {
 	e.fp = fp
 }
 
-// resolvedWorkers mirrors RunContext's worker resolution: the configured
-// count, or the shared pool's size when only a pool was given.
-func (e *Executable) resolvedWorkers() int {
-	w := e.opts.Workers
-	if w <= 0 && e.opts.WorkerPool != nil {
-		w = e.opts.WorkerPool.Size()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // scratchRowElems evaluates the rounded scratch-row size of a task's
 // kernel (the last domain extent) against the run's shape values.
 func scratchRowElems(vals []int64, t *task) int64 {
@@ -118,33 +98,12 @@ func scratchRowElems(vals []int64, t *task) int64 {
 }
 
 // footprintElems folds per-slot sizes and per-task scratch rows into the
-// run's worst-case pooled element count for the given engine mode.
-func (e *Executable) footprintElems(sizes []int64, rowOf func(*task) int64, workers int) int64 {
+// run's peak pooled element count: the max over plan steps.
+func (e *Executable) footprintElems(sizes []int64, rowOf func(*task) int64) int64 {
 	fp := e.fp
 	if fp == nil {
 		return 0
 	}
-	if workers > 1 && len(e.tasks) > 1 {
-		// Any-order bound: every output plus worst-case concurrent
-		// scratch (up to `workers` chunks of a kernel run at once, each
-		// with private rows) plus one partials buffer per reduction.
-		var total int64
-		for _, sl := range fp.pooled {
-			total += sizes[sl]
-		}
-		for _, t := range e.tasks {
-			if k := t.u.kernel; k != nil {
-				if k.ScratchRows > 0 {
-					total += int64(workers) * int64(k.ScratchRows) * rowOf(t)
-				}
-				if k.Partial != nil {
-					total += ral.RoundElems(workers)
-				}
-			}
-		}
-		return total
-	}
-	// Sequential peak: max over plan steps.
 	var peak int64
 	for i, t := range e.tasks {
 		var cur int64
@@ -162,7 +121,7 @@ func (e *Executable) footprintElems(sizes []int64, rowOf func(*task) int64, work
 }
 
 // footprintBytes is the per-run reservation at concrete shape values.
-func (e *Executable) footprintBytes(vals []int64, workers int) int64 {
+func (e *Executable) footprintBytes(vals []int64) int64 {
 	fp := e.fp
 	if fp == nil {
 		return 0
@@ -171,7 +130,7 @@ func (e *Executable) footprintBytes(vals []int64, workers int) int64 {
 	for _, sl := range fp.pooled {
 		sizes[sl] = ral.RoundElems(refsNumel(vals, fp.slotRefs[sl]))
 	}
-	elems := e.footprintElems(sizes, func(t *task) int64 { return scratchRowElems(vals, t) }, workers)
+	elems := e.footprintElems(sizes, func(t *task) int64 { return scratchRowElems(vals, t) })
 	return 4 * elems
 }
 
@@ -184,7 +143,7 @@ func (e *Executable) FootprintBytes(shapes [][]int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.footprintBytes(vals, e.resolvedWorkers()), nil
+	return e.footprintBytes(vals), nil
 }
 
 // MaxFootprintBytes bounds FootprintBytes over every admissible input
@@ -235,7 +194,7 @@ func (e *Executable) MaxFootprintBytes() (int64, bool) {
 		}
 		return ral.RoundElems(int(b))
 	}
-	elems := e.footprintElems(sizes, rowOf, e.resolvedWorkers())
+	elems := e.footprintElems(sizes, rowOf)
 	if !rowOK {
 		return 0, false
 	}
@@ -245,12 +204,12 @@ func (e *Executable) MaxFootprintBytes() (int64, bool) {
 // reserveFootprint blocks until the run's footprint fits under the
 // governor's budget (or fails with discerr.ErrMemoryBudget). The returned
 // release must run after the run's buffers are back in the pool.
-func (e *Executable) reserveFootprint(ctx context.Context, vals []int64, workers int) (func(), error) {
+func (e *Executable) reserveFootprint(ctx context.Context, vals []int64) (func(), error) {
 	gov := e.opts.Governor
 	if gov == nil {
 		return func() {}, nil
 	}
-	need := e.footprintBytes(vals, workers)
+	need := e.footprintBytes(vals)
 	release, err := gov.Reserve(ctx, need)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %s: %w", e.Graph.Name, err)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"godisc/internal/discerr"
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
+	"godisc/internal/models"
 	"godisc/internal/opt"
 	"godisc/internal/ral"
 	"godisc/internal/symshape"
@@ -45,35 +47,100 @@ func buildFootprintModel(g *graph.Graph) {
 	g.SetOutputs(g.Softmax(g.Add(y, x)))
 }
 
+// requirePeakWithinFootprint runs e once on inputs from a fresh pool, so
+// the pool's peak is this run's peak, and requires that peak to be at most
+// the footprint reserved for the inputs' shapes.
+func requirePeakWithinFootprint(t *testing.T, label string, e *Executable, inputs []*tensor.Tensor) {
+	t.Helper()
+	shapes := make([][]int, len(inputs))
+	for i, in := range inputs {
+		shapes[i] = in.Shape()
+	}
+	fpBytes, err := e.FootprintBytes(shapes)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	e.Pool = ral.NewPool()
+	if _, err := e.Run(inputs); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	peak := e.Pool.Stats().PeakElems
+	if peak == 0 {
+		t.Fatalf("%s: pool never allocated", label)
+	}
+	if 4*peak > fpBytes {
+		t.Fatalf("%s: pool peak %d elems (%d bytes) exceeds footprint %d bytes",
+			label, peak, 4*peak, fpBytes)
+	}
+}
+
 // TestFootprintCoversPoolPeak is the core soundness property: the
 // compile-time footprint (evaluated at the run's concrete shapes) must be
-// an upper bound on the pool's observed in-use peak for that run, in both
-// sequential and parallel modes.
+// an upper bound on the pool's observed in-use peak for that run.
 func TestFootprintCoversPoolPeak(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		g := graph.New("fp")
-		buildFootprintModel(g)
-		opts := DefaultOptions()
-		opts.Workers = workers
-		e := compileOpts(t, g, opts)
+	g := graph.New("fp")
+	buildFootprintModel(g)
+	e := compileOpts(t, g, DefaultOptions())
+	for _, batch := range []int{1, 7, 33, 64} {
+		in := tensor.RandN(tensor.NewRNG(uint64(batch)), 1, batch, 32)
+		requirePeakWithinFootprint(t, fmt.Sprintf("batch=%d", batch), e, []*tensor.Tensor{in})
+	}
+}
 
-		for _, batch := range []int{1, 7, 33, 64} {
-			in := tensor.RandN(tensor.NewRNG(uint64(batch)), 1, batch, 32)
-			fpBytes, err := e.FootprintBytes([][]int{{batch, 32}})
-			if err != nil {
-				t.Fatal(err)
+// TestFootprintCoversPoolPeakZoo checks the same bound on every zoo model
+// at the ends of its declared ranges: all dynamic input dims at their
+// minimum, then each one in turn at its maximum.
+func TestFootprintCoversPoolPeakZoo(t *testing.T) {
+	for _, m := range models.Registry() {
+		g := m.Build()
+		e := compile(t, g, fusion.DefaultConfig())
+		ctx := g.Ctx
+		// The distinct dynamic dims of the parameters, in first-use order.
+		var dims []symshape.DimID
+		seen := map[symshape.DimID]bool{}
+		for _, p := range g.Params {
+			for _, d := range p.Shape {
+				if _, static := ctx.StaticValue(d); static || seen[ctx.Root(d)] {
+					continue
+				}
+				seen[ctx.Root(d)] = true
+				dims = append(dims, ctx.Root(d))
 			}
-			if _, err := e.Run([]*tensor.Tensor{in}); err != nil {
-				t.Fatal(err)
+		}
+		inputsAt := func(maxed symshape.DimID) ([]*tensor.Tensor, string) {
+			r := tensor.NewRNG(uint64(maxed) + 1)
+			label := m.Name
+			var ins []*tensor.Tensor
+			for _, p := range g.Params {
+				shape := make([]int, len(p.Shape))
+				for i, d := range p.Shape {
+					if v, ok := ctx.StaticValue(d); ok {
+						shape[i] = int(v)
+						continue
+					}
+					lo, hi := ctx.Range(d)
+					if hi <= 0 {
+						t.Fatalf("%s: dim %s has no declared range", m.Name, ctx.Name(d))
+					}
+					shape[i] = int(lo)
+					if ctx.Root(d) == maxed {
+						shape[i] = int(hi)
+					}
+				}
+				if p.DType == tensor.F32 {
+					ins = append(ins, tensor.RandN(r, 0.5, shape...))
+				} else {
+					ins = append(ins, tensor.New(p.DType, shape...))
+				}
+				label += fmt.Sprintf(" %s%v", p.Name, shape)
 			}
-			peak := e.Pool.Stats().PeakElems
-			if peak == 0 {
-				t.Fatalf("workers=%d batch=%d: pool never allocated", workers, batch)
-			}
-			if 4*peak > fpBytes {
-				t.Fatalf("workers=%d batch=%d: pool peak %d elems (%d bytes) exceeds footprint %d bytes",
-					workers, batch, peak, 4*peak, fpBytes)
-			}
+			return ins, label
+		}
+		ins, label := inputsAt(-1)
+		requirePeakWithinFootprint(t, label, e, ins)
+		for _, d := range dims {
+			ins, label := inputsAt(d)
+			requirePeakWithinFootprint(t, label, e, ins)
 		}
 	}
 }
@@ -111,7 +178,6 @@ func TestGovernorAdmitsAndAccountsRun(t *testing.T) {
 	g := graph.New("fpgov")
 	buildFootprintModel(g)
 	opts := DefaultOptions()
-	opts.Workers = 1
 	opts.Governor = ral.NewGovernor(1 << 20)
 	e := compileOpts(t, g, opts)
 	in := tensor.RandN(tensor.NewRNG(1), 1, 16, 32)
@@ -135,7 +201,6 @@ func TestGovernorRejectsOversizedRun(t *testing.T) {
 	g := graph.New("fpreject")
 	buildFootprintModel(g)
 	opts := DefaultOptions()
-	opts.Workers = 1
 	opts.Governor = ral.NewGovernor(64) // smaller than any run's buffers
 	e := compileOpts(t, g, opts)
 	in := tensor.RandN(tensor.NewRNG(1), 1, 16, 32)
@@ -152,7 +217,6 @@ func TestGovernorBlockedRunHonoursDeadline(t *testing.T) {
 	g := graph.New("fpblock")
 	buildFootprintModel(g)
 	opts := DefaultOptions()
-	opts.Workers = 1
 	gov := ral.NewGovernor(1 << 20)
 	opts.Governor = gov
 	e := compileOpts(t, g, opts)

@@ -21,7 +21,7 @@ import (
 // graphs, at the buffers and dims the executor actually launches them
 // with: every kernel launch of a run — whichever specialization variant
 // the guards pick — must leave its buffers bit-identical to the tree
-// interpreter's, run whole and run as RunRange splits.
+// interpreter's.
 
 func cloneBufs(bufs [][]float32) [][]float32 {
 	out := make([][]float32, len(bufs))
@@ -44,8 +44,7 @@ func requireBufsBitEqual(t *testing.T, where string, cp *kir.Compiled, got, want
 }
 
 // checkProgram runs one compiled kernel program and the interpreter over
-// its AST on copies of the same buffers. A partitionable program is also
-// run as 2 and 3 contiguous ranges, cut the way the scheduler cuts them.
+// its AST on copies of the same buffers.
 func checkProgram(t *testing.T, where string, cp *kir.Compiled, bufs [][]float32, dims []int) {
 	t.Helper()
 	want := cloneBufs(bufs)
@@ -57,28 +56,13 @@ func checkProgram(t *testing.T, where string, cp *kir.Compiled, bufs [][]float32
 		t.Fatalf("%s: %v", where, err)
 	}
 	requireBufsBitEqual(t, where, cp, got, want)
-	if !cp.Partitionable() {
-		return
-	}
-	extent := cp.OuterExtent(dims)
-	for _, parts := range []int{2, 3} {
-		got := cloneBufs(bufs)
-		for i := 0; i < parts; i++ {
-			lo, hi := splitRange(extent, parts, i)
-			if err := cp.RunRange(got, dims, lo, hi); err != nil {
-				t.Fatalf("%s: RunRange(%d,%d): %v", where, lo, hi, err)
-			}
-		}
-		requireBufsBitEqual(t, fmt.Sprintf("%s in %d ranges", where, parts), cp, got, want)
-	}
 }
 
-// checkRunKernels walks e's tasks the way runSequential does and checks
-// every kernel launch with checkProgram before executing it. For a full
-// reduction it also checks the partials+combine programs the parallel
-// engine would launch instead. It records the variant names it saw (and
-// "partial+combine" for that pair) and finally requires the walk's outputs to equal e.Run's bit for bit, so the
-// launches checked are the launches a real run makes.
+// checkRunKernels walks e's tasks the way runTasks does and checks every
+// kernel launch with checkProgram before executing it. It records the
+// variant names it saw and finally requires the walk's outputs to equal
+// e.Run's bit for bit, so the launches checked are the launches a real run
+// makes.
 func checkRunKernels(t *testing.T, label string, e *Executable, inputs []*tensor.Tensor, variants map[string]bool) {
 	t.Helper()
 	shapes := make([][]int, len(inputs))
@@ -96,7 +80,7 @@ func checkRunKernels(t *testing.T, label string, e *Executable, inputs []*tensor
 	defer rc.release()
 	for _, tk := range e.tasks {
 		if tk.u.isLib {
-			if err := e.runLibrary(rc, tk, rc.prof); err != nil {
+			if err := e.runLibrary(rc, tk); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 		} else {
@@ -111,20 +95,6 @@ func checkRunKernels(t *testing.T, label string, e *Executable, inputs []*tensor
 			where := fmt.Sprintf("%s: kernel %s variant %q dims %v", label, ln.k.Name, ln.variant.Name, ln.dims)
 			variants[ln.variant.Name] = true
 			checkProgram(t, where, ln.variant.Code, bufs, ln.dims)
-			if pr := ln.k.Partial; pr != nil {
-				// 3 partials: uneven chunks, and more partials than
-				// elements at the smallest shapes.
-				partials := make([]float32, 3)
-				pbufs := append(cloneBufs(ln.bufs), partials)
-				pdims := append(append([]int(nil), ln.dims...), len(partials))
-				checkProgram(t, where+" partial", pr.Partial, pbufs, pdims)
-				if err := pr.Partial.Run(pbufs, pdims); err != nil {
-					t.Fatalf("%s partial: %v", where, err)
-				}
-				out := make([]float32, 1)
-				checkProgram(t, where+" combine", pr.Combine, [][]float32{partials, out}, pdims[len(ln.dims):])
-				variants["partial+combine"] = true
-			}
 			if err := ln.variant.Code.Run(bufs, ln.dims); err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
@@ -197,8 +167,7 @@ func TestLoweredKernelsMatchInterpreterRandomGraphs(t *testing.T) {
 
 // TestLoweredKernelsMatchInterpreterUncommonLowerings covers what no zoo or
 // randgraph graph lowers to: speculative likely-value variants (no zoo model
-// declares a likely dim) and the partials+combine programs of a full
-// max/min reduction.
+// declares a likely dim) and full max/min reductions.
 func TestLoweredKernelsMatchInterpreterUncommonLowerings(t *testing.T) {
 	variants := map[string]bool{}
 	g := graph.New("uncommon")
@@ -219,9 +188,7 @@ func TestLoweredKernelsMatchInterpreterUncommonLowerings(t *testing.T) {
 		label := fmt.Sprintf("uncommon B=%d L=%d", p[0], p[1])
 		checkRunKernels(t, label, e, []*tensor.Tensor{tensor.RandN(r, 1, p[0], p[1])}, variants)
 	}
-	for _, want := range []string{"spec64", "partial+combine"} {
-		if !variants[want] {
-			t.Fatalf("%s never dispatched: %v", want, variants)
-		}
+	if !variants["spec64"] {
+		t.Fatalf("spec64 never dispatched: %v", variants)
 	}
 }

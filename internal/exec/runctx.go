@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"godisc/internal/obs"
 	"godisc/internal/ral"
@@ -15,14 +14,13 @@ import (
 // buffer reference counts, the profiler, the pool session — lives here and
 // nowhere on the Executable, so one compiled engine can serve N goroutines
 // concurrently: Run simply builds a fresh runCtx per call. The Executable
-// itself is immutable after Compile (units, task DAG, shape program,
+// itself is immutable after Compile (units, task list, shape program,
 // constants, initial refcounts), and the shared Pool is internally locked.
+// A runCtx is only ever touched by the goroutine that runs it.
 //
-// Values live in slot-indexed slices rather than maps so that concurrent
-// workers of a parallel run never touch shared map internals: each slot is
-// written by exactly one producer task, read by consumers that the DAG
-// orders after it (happens-before through the scheduler's queue lock), and
-// freed by whichever consumer drops its reference count to zero.
+// Values live in slot-indexed slices: each slot is written by exactly one
+// task, read by tasks after it in plan order, and freed by the reader that
+// drops its reference count to zero.
 type runCtx struct {
 	exe  *Executable
 	ctx  context.Context
@@ -35,16 +33,13 @@ type runCtx struct {
 	// owned marks env slots whose buffers came from the pool and are still
 	// held by this run.
 	owned []bool
-	// refs counts the remaining consumers of each slot; the consumer that
-	// takes it to zero returns the buffer to the pool (liveness under
-	// out-of-order completion).
+	// refs counts the remaining readers of each slot; the reader that
+	// takes it to zero returns the buffer to the pool.
 	refs []int32
 	// sess is this run's pool session (per-run accounting over the
 	// shared pool).
 	sess *ral.Session
-	// prof receives this run's simulated profile. Parallel workers write
-	// per-task shards and merge them through a ral.SharedProfiler instead
-	// of touching prof directly.
+	// prof receives this run's profile.
 	prof *ral.Profiler
 	// span is this run's `exec` trace span (nil when observability is
 	// off — the one branch executors pay per instrumentation point).
@@ -52,8 +47,8 @@ type runCtx struct {
 }
 
 // newRunCtx opens the per-call state for one invocation: parameters are
-// flattened eagerly into their slots (so no two workers race to flatten
-// one lazily) and constants are installed from the compile-time buffers.
+// flattened into their slots and constants are installed from the
+// compile-time buffers.
 func (e *Executable) newRunCtx(ctx context.Context, inputs []*tensor.Tensor, vals []int64) (*runCtx, error) {
 	rc := &runCtx{
 		exe:   e,
@@ -80,9 +75,8 @@ func (e *Executable) newRunCtx(ctx context.Context, inputs []*tensor.Tensor, val
 	return rc, nil
 }
 
-// cancelled reports the context error once the context is done. The
-// sequential path checks it between units; the parallel scheduler checks
-// it at partition granularity, so deadline/cancel takes effect mid-kernel.
+// cancelled reports the context error once the context is done; runTasks
+// checks it between units.
 func (rc *runCtx) cancelled() error {
 	if rc.done == nil {
 		return nil
@@ -95,8 +89,8 @@ func (rc *runCtx) cancelled() error {
 	}
 }
 
-// bufOf returns the buffer of slot s, which the task DAG guarantees was
-// produced (or prefilled) before any consumer runs.
+// bufOf returns the buffer of slot s, which plan order guarantees was
+// produced (or prefilled) before any reader runs.
 func (rc *runCtx) bufOf(s int) ([]float32, error) {
 	if b := rc.env[s]; b != nil {
 		return b, nil
@@ -105,17 +99,17 @@ func (rc *runCtx) bufOf(s int) ([]float32, error) {
 }
 
 // setOwned installs a pooled buffer as slot s's value. Only the single
-// producer task of s calls this.
+// producing task of s calls this.
 func (rc *runCtx) setOwned(s int, buf []float32) {
 	rc.env[s] = buf
 	rc.owned[s] = true
 }
 
-// decRef drops one consumer reference from slot s; the reference that hits
-// zero returns the pooled buffer (if any). References are counted so that
-// tasks may complete out of order: whoever finishes last frees.
+// decRef drops one reader reference from slot s; the reference that hits
+// zero returns the pooled buffer (if any).
 func (rc *runCtx) decRef(s int) {
-	if atomic.AddInt32(&rc.refs[s], -1) != 0 {
+	rc.refs[s]--
+	if rc.refs[s] != 0 {
 		return
 	}
 	if rc.owned[s] {
@@ -126,9 +120,8 @@ func (rc *runCtx) decRef(s int) {
 }
 
 // release returns every pooled buffer this run still holds. It runs on
-// every exit path (including cancellation and kernel errors), after all
-// workers have stopped, so one failed request can never leak pool memory
-// from under concurrent ones.
+// every exit path (including cancellation and kernel errors), so one failed
+// request can never leak pool memory from under concurrent ones.
 func (rc *runCtx) release() {
 	for s, own := range rc.owned {
 		if own {

@@ -3,16 +3,16 @@
 // to disk and a fresh process can reload them without re-running the
 // opt/fusion/codegen pipeline. The image carries the KIR kernel ASTs, the
 // specialization variant table (guards as codegen.GuardSpec data), the
-// compiled shape program, the task DAG with its slot plan, constants, the
+// compiled shape program, the task list with its slot plan, constants, the
 // footprint plan, and the precomputed capacity bound. Decoding rebuilds the
 // runnable programs with kir.Finalize — cheap bytecode compilation, no
 // lowering — and is bit-identical to the original engine by construction:
 // the same ASTs compile to the same programs, the same guard specs rebuild
-// the same dispatch predicates, and the DAG/slot plan is copied verbatim.
+// the same dispatch predicates, and the task/slot plan is copied verbatim.
 //
 // The decoder is hostile-input-proof: any panic while decoding (corrupt
 // gob, malformed AST) is recovered into an error, and structural indices
-// (slots, task ids, shape-program references) are bounds-checked before the
+// (slots and shape-program references) are bounds-checked before the
 // engine is handed to callers. A torn or tampered cache entry therefore
 // degrades to a decode error — never a crash, never a stale engine.
 package exec
@@ -36,7 +36,7 @@ import (
 // image layout or the runtime semantics of any serialized field change; the
 // cache layer folds it into the compiler fingerprint, so stale images are
 // quarantined instead of misinterpreted.
-const ImageVersion = 1
+const ImageVersion = 2
 
 func init() {
 	// kir ASTs hold interface-typed nodes; gob needs the concrete types.
@@ -71,7 +71,7 @@ type engineImage struct {
 
 	// Options that change runtime behavior travel with the engine so a
 	// reload replays the original compile exactly; process-local options
-	// (workers, hooks, governor) come from the loading process.
+	// (pools, hooks, governor) come from the loading process.
 	HostDispatchNs  float64
 	DisableLiveness bool
 
@@ -105,9 +105,6 @@ type constImage struct {
 }
 
 type taskImage struct {
-	ID       int
-	NDeps    int
-	Outs     []int
 	InSlots  []int
 	OutSlots []int
 	Reads    []int
@@ -137,10 +134,7 @@ type kernelImage struct {
 	ScratchRows   int
 	FlopsPerPoint int
 	Passes        int
-	ParallelOuter bool
-	GrainPoints   int
 	Variants      []variantImage
-	Partial       *partialImage
 }
 
 type variantImage struct {
@@ -149,11 +143,6 @@ type variantImage struct {
 	AST     *kir.Kernel
 	MemEff  float64
 	CompEff float64
-}
-
-type partialImage struct {
-	Partial *kir.Kernel
-	Combine *kir.Kernel
 }
 
 // EncodeImage serializes the compiled engine. The result is deterministic
@@ -181,10 +170,7 @@ func (e *Executable) EncodeImage() ([]byte, error) {
 		img.Consts = append(img.Consts, constImage{Slot: c.slot, Buf: c.buf})
 	}
 	for _, t := range e.tasks {
-		ti := taskImage{
-			ID: t.id, NDeps: t.nDeps, Outs: t.outs,
-			InSlots: t.inSlots, OutSlots: t.outSlots, Reads: t.reads,
-		}
+		ti := taskImage{InSlots: t.inSlots, OutSlots: t.outSlots, Reads: t.reads}
 		u := t.u
 		ti.Unit = unitImage{
 			IsLib:         u.isLib,
@@ -206,20 +192,12 @@ func (e *Executable) EncodeImage() ([]byte, error) {
 				ScratchRows:   k.ScratchRows,
 				FlopsPerPoint: k.FlopsPerPoint,
 				Passes:        k.Passes,
-				ParallelOuter: k.ParallelOuter,
-				GrainPoints:   k.GrainPoints,
 			}
 			for _, v := range k.Variants {
 				ki.Variants = append(ki.Variants, variantImage{
 					Name: v.Name, Spec: v.Spec, AST: v.Code.AST(),
 					MemEff: v.MemEfficiency, CompEff: v.ComputeEfficiency,
 				})
-			}
-			if k.Partial != nil {
-				ki.Partial = &partialImage{
-					Partial: k.Partial.Partial.AST(),
-					Combine: k.Partial.Combine.AST(),
-				}
 			}
 			ti.Unit.Kernel = ki
 		}
@@ -247,7 +225,7 @@ type fpImage struct {
 // image. dev supplies the loading process's device model (the cache layer
 // folds the device name into the compiler fingerprint, so it always matches
 // the encoding device); opts supplies process-local execution options —
-// workers, pools, hooks, metrics, governor, faults. Compile-time options
+// pools, hooks, metrics, governor, faults. Compile-time options
 // that affect runtime behavior (host dispatch cost, liveness planning) come
 // from the image itself.
 //
@@ -270,7 +248,7 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 		return nil, err
 	}
 
-	opts = opts.withPools()
+	opts = opts.withPool()
 	opts.HostDispatchNs = img.HostDispatchNs
 	opts.DisableLivenessPlanning = img.DisableLiveness
 
@@ -320,14 +298,10 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 			return nil, err
 		}
 		e.units = append(e.units, u)
-		e.tasks = append(e.tasks, &task{
-			id: ti.ID, u: u, nDeps: ti.NDeps, outs: ti.Outs,
-			inSlots: ti.InSlots, outSlots: ti.OutSlots, reads: ti.Reads,
-		})
+		e.tasks = append(e.tasks, &task{u: u, inSlots: ti.InSlots, outSlots: ti.OutSlots, reads: ti.Reads})
 	}
 	if reg := opts.Metrics; reg != nil {
 		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
-		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
 	}
 	return e, nil
 }
@@ -366,8 +340,6 @@ func decodeUnit(ui *unitImage) (*unit, error) {
 		ScratchRows:   ki.ScratchRows,
 		FlopsPerPoint: ki.FlopsPerPoint,
 		Passes:        ki.Passes,
-		ParallelOuter: ki.ParallelOuter,
-		GrainPoints:   ki.GrainPoints,
 	}
 	if len(ki.Variants) == 0 {
 		return nil, fmt.Errorf("exec: engine image: kernel %s has no variants", ki.Name)
@@ -387,20 +359,6 @@ func decodeUnit(ui *unitImage) (*unit, error) {
 	}
 	if last := k.Variants[len(k.Variants)-1]; last.Guard != nil {
 		return nil, fmt.Errorf("exec: engine image: kernel %s has no fallback variant", ki.Name)
-	}
-	if ki.Partial != nil {
-		if ki.Partial.Partial == nil || ki.Partial.Combine == nil {
-			return nil, fmt.Errorf("exec: engine image: kernel %s has incomplete partial reduce", ki.Name)
-		}
-		pc, err := ki.Partial.Partial.Finalize()
-		if err != nil {
-			return nil, fmt.Errorf("exec: engine image: %w", err)
-		}
-		cc, err := ki.Partial.Combine.Finalize()
-		if err != nil {
-			return nil, fmt.Errorf("exec: engine image: %w", err)
-		}
-		k.Partial = &codegen.PartialReduce{Partial: pc, Combine: cc}
 	}
 	u.kernel = k
 	return u, nil
@@ -514,14 +472,6 @@ func validateImage(img *engineImage) error {
 	}
 	for i := range img.Tasks {
 		ti := &img.Tasks[i]
-		if ti.ID != i {
-			return bad("task %d carries id %d", i, ti.ID)
-		}
-		for _, o := range ti.Outs {
-			if o < 0 || o >= len(img.Tasks) {
-				return bad("task %d edge to %d out of range [0,%d)", i, o, len(img.Tasks))
-			}
-		}
 		for _, s := range ti.InSlots {
 			if err := checkSlot(s); err != nil {
 				return err

@@ -53,7 +53,6 @@ func TestChurnLeakInvariant(t *testing.T) {
 	reg := godisc.NewMetrics()
 	srv := godisc.NewServer(godisc.ServerConfig{
 		MaxConcurrent: 2,
-		Workers:       1, // deterministic buffer traffic, so allocations compare exactly
 		CacheDir:      t.TempDir(),
 		Metrics:       reg,
 	})

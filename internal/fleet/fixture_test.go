@@ -150,7 +150,6 @@ type fixtureOpts struct {
 	maxBatchSize  int
 	maxConcurrent int // serve execution slots (default 8)
 	queueDepth    int // serve admission queue depth (0 = serve default)
-	workers       int // exec worker pool size (0 = serve default)
 	// kernelLatency, when > 0, injects that much sleep into every kernel
 	// launch (latency-only fault; results unchanged) so runs overlap on a
 	// single-CPU host.
@@ -195,7 +194,6 @@ func newFixture(t testing.TB, o fixtureOpts) *fixture {
 		MaxConcurrent: o.maxConcurrent,
 		QueueDepth:    o.queueDepth,
 		MaxBatchSize:  o.maxBatchSize,
-		Workers:       o.workers,
 	}
 	if o.cacheDir != "" {
 		scfg.EngineCache = servetest.OpenCache(t, o.cacheDir)

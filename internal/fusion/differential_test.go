@@ -13,8 +13,7 @@ import (
 )
 
 // Differential net over the fusion planner: random graphs compiled under
-// every fusion configuration, executed at randomized worker counts, and
-// compared against graph.Evaluate on an unfused reference copy. A
+// every fusion configuration, executed, and compared against graph.Evaluate on an unfused reference copy. A
 // disagreement localizes a miscompile to the planner or the fused
 // codegen for that configuration.
 
@@ -33,7 +32,6 @@ func configs() map[string]fusion.Config {
 func TestDifferentialFusionConfigsVsReference(t *testing.T) {
 	const trials = 25
 	dev := device.A10()
-	wr := tensor.NewRNG(17)
 	for seed := uint64(500); seed < 500+trials; seed++ {
 		steps := 6 + int(seed%8)
 		h := []int{4, 8, 16}[seed%3]
@@ -53,23 +51,21 @@ func TestDifferentialFusionConfigsVsReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: plan: %v", seed, name, err)
 			}
-			o := exec.DefaultOptions()
-			o.Workers = 1 + int(wr.Intn(4)) // randomized 1..4
-			exe, err := exec.Compile(g, plan, dev, o)
+			exe, err := exec.Compile(g, plan, dev, exec.DefaultOptions())
 			if err != nil {
 				t.Fatalf("seed %d %s: compile: %v", seed, name, err)
 			}
 			got, err := exe.Run(ins)
 			if err != nil {
-				t.Fatalf("seed %d %s workers %d: run: %v", seed, name, o.Workers, err)
+				t.Fatalf("seed %d %s: run: %v", seed, name, err)
 			}
 			if len(got.Outputs) != len(want) {
 				t.Fatalf("seed %d %s: output arity %d, want %d", seed, name, len(got.Outputs), len(want))
 			}
 			for i := range want {
 				if err := tensor.AllClose(got.Outputs[i], want[i], 2e-4, 2e-4); err != nil {
-					t.Fatalf("seed %d config %s workers %d output %d: fused and reference disagree: %v\nplan:\n%s",
-						seed, name, o.Workers, i, err, plan)
+					t.Fatalf("seed %d config %s output %d: fused and reference disagree: %v\nplan:\n%s",
+						seed, name, i, err, plan)
 				}
 			}
 		}
@@ -77,13 +73,13 @@ func TestDifferentialFusionConfigsVsReference(t *testing.T) {
 }
 
 // TestDifferentialStitchAblation pins the stitch-specific path: the same
-// graph with and without kStitch must agree bit-for-bit at every worker
-// count, since stitching only regroups kernels.
+// graph with and without kStitch must agree bit-for-bit, since stitching
+// only regroups kernels.
 func TestDifferentialStitchAblation(t *testing.T) {
 	const trials = 15
 	dev := device.A10()
 	for seed := uint64(600); seed < 600+trials; seed++ {
-		mk := func(cfg fusion.Config, workers int) *exec.Executable {
+		mk := func(cfg fusion.Config) *exec.Executable {
 			g := randgraph.Build(seed, 10, 8)
 			if _, err := opt.Default().Run(g); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -92,9 +88,7 @@ func TestDifferentialStitchAblation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			o := exec.DefaultOptions()
-			o.Workers = workers
-			exe, err := exec.Compile(g, plan, dev, o)
+			exe, err := exec.Compile(g, plan, dev, exec.DefaultOptions())
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -102,9 +96,8 @@ func TestDifferentialStitchAblation(t *testing.T) {
 		}
 		noStitch := fusion.DefaultConfig()
 		noStitch.EnableStitch = false
-		workers := 1 + int(seed%4)
-		stitched := mk(fusion.DefaultConfig(), workers)
-		plain := mk(noStitch, workers)
+		stitched := mk(fusion.DefaultConfig())
+		plain := mk(noStitch)
 		r := tensor.NewRNG(seed)
 		ins := randgraph.Inputs(r, 3, 13, 8)
 		sres, err := stitched.Run(ins)

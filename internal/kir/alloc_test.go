@@ -9,7 +9,7 @@ package kir
 import "testing"
 
 // allocGateKernels are the kernel shapes the dispatch loop must execute with
-// zero heap allocations per Run/RunRange: a fused elementwise map, a
+// zero heap allocations per Run: a fused elementwise map, a
 // row-reduction, and an indirect gather (ILoad-based indexing).
 func allocGateKernels() []*Kernel {
 	return []*Kernel{
@@ -80,9 +80,9 @@ func allocGateBufs(k *Kernel) ([][]float32, []int) {
 	return bufs, dims
 }
 
-// TestZeroAllocDispatch asserts the tentpole's hard budget: after warmup, a
-// Run (and RunRange, for partitionable kernels) performs zero heap
-// allocations — the frame pool absorbs everything.
+// TestZeroAllocDispatch asserts the dispatch loop's hard budget: after
+// warmup, a Run performs zero heap allocations — the frame pool absorbs
+// everything.
 func TestZeroAllocDispatch(t *testing.T) {
 	for _, k := range allocGateKernels() {
 		t.Run("bytecode/"+k.Name, func(t *testing.T) {
@@ -102,42 +102,6 @@ func TestZeroAllocDispatch(t *testing.T) {
 			}); n != 0 {
 				t.Fatalf("Run: %v allocs/op, want 0", n)
 			}
-			if !cp.Partitionable() {
-				return
-			}
-			ext := cp.OuterExtent(dims)
-			if n := testing.AllocsPerRun(100, func() {
-				if err := cp.RunRange(bufs, dims, 0, ext/2); err != nil {
-					t.Fatal(err)
-				}
-				if err := cp.RunRange(bufs, dims, ext/2, ext); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Fatalf("RunRange: %v allocs/op, want 0", n)
-			}
 		})
-	}
-}
-
-// TestOuterExtentZeroAlloc pins satellite #2: the parallel executor calls
-// OuterExtent on every dispatch to size its grain, so it must not borrow a
-// frame (or allocate at all).
-func TestOuterExtentZeroAlloc(t *testing.T) {
-	k := allocGateKernels()[1] // reduce: partitionable
-	cp, err := k.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dims := allocGateBufs(k)
-	if !cp.Partitionable() {
-		t.Fatal("reduce kernel should be partitionable")
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if cp.OuterExtent(dims) != 32 {
-			t.Fatal("wrong extent")
-		}
-	}); n != 0 {
-		t.Fatalf("OuterExtent: %v allocs/op, want 0", n)
 	}
 }

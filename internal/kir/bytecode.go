@@ -103,10 +103,6 @@ type instr struct {
 // program is a compiled bytecode kernel.
 type program struct {
 	code []instr
-	// loReg/hiReg are the outer-range registers of a partitionable kernel
-	// (-1 otherwise). Run seeds them with [0, extent); RunRange with the
-	// requested [lo, hi) — range runs are pure register seeding.
-	loReg, hiReg int32
 	// supers counts emitted superinstructions (for tests and tracing).
 	supers int
 }
@@ -169,7 +165,6 @@ type bcompiler struct {
 	// defined in compile-time encounter order (loop extents before the loop
 	// variable; set targets before their right-hand sides).
 	defInt, defFlt map[string]bool
-	loReg, hiReg   int32
 	code           []instr
 	supers         int
 	// globalReads counts IVar/FLocal reads per prefixed name across the
@@ -192,7 +187,7 @@ func (c *bcompiler) checkBuf(i int) {
 }
 
 // finalizeBytecode compiles the kernel body into cp.prog.
-func (cp *Compiled) finalizeBytecode(dimSlot map[string]int, lp SLoop, partitionable bool) error {
+func (cp *Compiled) finalizeBytecode(dimSlot map[string]int) error {
 	c := &bcompiler{
 		k:       cp.kernel,
 		dimSlot: dimSlot,
@@ -200,28 +195,18 @@ func (cp *Compiled) finalizeBytecode(dimSlot map[string]int, lp SLoop, partition
 		fltSlot: map[string]int32{},
 		defInt:  map[string]bool{},
 		defFlt:  map[string]bool{},
-		loReg:   -1,
-		hiReg:   -1,
 	}
 	c.collectLocals(cp.kernel.Body)
 	c.tmpInt = int32(len(c.intSlot))
 	c.tmpFlt = int32(len(c.fltSlot))
 	c.nInt, c.nFlt = c.tmpInt, c.tmpFlt
-	if partitionable {
-		c.loReg = c.tempInt()
-		c.hiReg = c.tempInt()
-	}
 	c.globalReads = map[string]int{}
 	countReadsStmts(cp.kernel.Body, c.globalReads)
-	if partitionable {
-		c.compileRangeLoop(lp)
-	} else {
-		c.compileStmts(cp.kernel.Body)
-	}
+	c.compileStmts(cp.kernel.Body)
 	if c.err != nil {
 		return c.err
 	}
-	cp.prog = &program{code: c.code, loReg: c.loReg, hiReg: c.hiReg, supers: c.supers}
+	cp.prog = &program{code: c.code, supers: c.supers}
 	cp.nInts = int(c.nInt)
 	cp.nFloats = int(c.nFlt)
 	return nil
@@ -346,7 +331,7 @@ func (c *bcompiler) compileStmt(s Stmt) {
 // the variable at the top of each iteration and never increments past the
 // last).
 func (c *bcompiler) compileLoop(s SLoop) {
-	if c.trySuper(s, false) {
+	if c.trySuper(s) {
 		return
 	}
 	ext := c.tempInt()
@@ -357,21 +342,6 @@ func (c *bcompiler) compileLoop(s SLoop) {
 	head := c.emit(instr{op: opLoopHead, a: v, b: ext})
 	c.compileStmts(s.Body)
 	c.emit(instr{op: opLoopTail, a: v, b: ext, c: int32(head + 1)})
-	c.code[head].c = c.here()
-}
-
-// compileRangeLoop compiles the partitionable outer loop against the
-// dedicated lo/hi registers; Run and RunRange seed them before dispatch.
-func (c *bcompiler) compileRangeLoop(s SLoop) {
-	if c.trySuper(s, true) {
-		return
-	}
-	v := c.defineInt(s.Var)
-	c.defInt[s.Var] = true
-	c.emit(instr{op: opIMov, a: v, b: c.loReg})
-	head := c.emit(instr{op: opLoopHead, a: v, b: c.hiReg})
-	c.compileStmts(s.Body)
-	c.emit(instr{op: opLoopTail, a: v, b: c.hiReg, c: int32(head + 1)})
 	c.code[head].c = c.here()
 }
 

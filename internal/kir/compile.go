@@ -45,12 +45,6 @@ type Compiled struct {
 
 	// prog is the flat bytecode program (vm.go executes it).
 	prog *program
-
-	// extent evaluates the outer loop extent from dims alone — no Frame is
-	// constructed, keeping OuterExtent allocation-free on the per-request
-	// partitioning path. Set iff the kernel body is a single top-level loop
-	// with a dims-only extent.
-	extent func(dims []int) int
 }
 
 // Finalize validates the kernel and compiles it to bytecode. This is the
@@ -65,104 +59,10 @@ func (k *Kernel) Finalize() (*Compiled, error) {
 		dimSlot[d] = i
 	}
 	cp := &Compiled{kernel: k}
-	lp, partitionable := singleOuterLoop(k.Body)
-	if partitionable {
-		// The extent is evaluated via cp.extent rather than compiled code,
-		// so its dims must be validated here.
-		if d, ok := unknownDim(lp.Extent, dimSlot); !ok {
-			return nil, fmt.Errorf("kir: kernel %s: unknown dim %q", k.Name, d)
-		}
-		cp.extent = compileDimExtent(lp.Extent, dimSlot)
-	}
-	if err := cp.finalizeBytecode(dimSlot, lp, partitionable); err != nil {
+	if err := cp.finalizeBytecode(dimSlot); err != nil {
 		return nil, err
 	}
 	return cp, nil
-}
-
-// singleOuterLoop reports whether body is exactly one top-level SLoop whose
-// extent is computable from dims and constants alone (no locals, no buffer
-// loads) — the shape every partitionable kernel must have.
-func singleOuterLoop(body []Stmt) (SLoop, bool) {
-	if len(body) != 1 {
-		return SLoop{}, false
-	}
-	lp, ok := body[0].(SLoop)
-	if !ok || !dimOnly(lp.Extent) {
-		return SLoop{}, false
-	}
-	return lp, true
-}
-
-// dimOnly reports whether e uses only IConst/IDim/IBin nodes.
-func dimOnly(e IntExpr) bool {
-	switch e := e.(type) {
-	case IConst, IDim:
-		return true
-	case IBin:
-		return dimOnly(e.A) && dimOnly(e.B)
-	default:
-		return false
-	}
-}
-
-// unknownDim finds the first dim name in a dims-only expression that is not
-// declared by the kernel; ok is false when one exists.
-func unknownDim(e IntExpr, dimSlot map[string]int) (string, bool) {
-	switch e := e.(type) {
-	case IDim:
-		if _, ok := dimSlot[string(e)]; !ok {
-			return string(e), false
-		}
-	case IBin:
-		if d, ok := unknownDim(e.A, dimSlot); !ok {
-			return d, false
-		}
-		return unknownDim(e.B, dimSlot)
-	}
-	return "", true
-}
-
-// compileDimExtent compiles a dims-only extent expression to a closure over
-// the dim values — the frame-free evaluator behind OuterExtent. The caller
-// guarantees dimOnly(e); unknown dims are reported by the main compile of
-// the same expression, so this evaluator maps them to 0.
-func compileDimExtent(e IntExpr, dimSlot map[string]int) func(dims []int) int {
-	switch e := e.(type) {
-	case IConst:
-		v := int(e)
-		return func([]int) int { return v }
-	case IDim:
-		slot, ok := dimSlot[string(e)]
-		if !ok {
-			return func([]int) int { return 0 }
-		}
-		return func(dims []int) int { return dims[slot] }
-	case IBin:
-		a := compileDimExtent(e.A, dimSlot)
-		b := compileDimExtent(e.B, dimSlot)
-		switch e.Op {
-		case IAdd:
-			return func(d []int) int { return a(d) + b(d) }
-		case ISub:
-			return func(d []int) int { return a(d) - b(d) }
-		case IMul:
-			return func(d []int) int { return a(d) * b(d) }
-		case IDiv:
-			return func(d []int) int { return a(d) / b(d) }
-		case IMod:
-			return func(d []int) int { return a(d) % b(d) }
-		case IMin:
-			return func(d []int) int {
-				x, y := a(d), b(d)
-				if x < y {
-					return x
-				}
-				return y
-			}
-		}
-	}
-	return func([]int) int { return 0 }
 }
 
 // MustFinalize is Finalize that panics; for statically-known-good kernels
@@ -219,53 +119,6 @@ func (cp *Compiled) Run(bufs [][]float32, dims []int) error {
 	}
 	f := cp.getFrame(bufs, dims)
 	defer cp.putFrame(f)
-	if cp.prog.loReg >= 0 {
-		f.ints[cp.prog.loReg] = 0
-		f.ints[cp.prog.hiReg] = cp.extent(dims)
-	}
-	cp.prog.exec(f)
-	return nil
-}
-
-// Partitionable reports whether the kernel can be executed in outer-loop
-// ranges (single top-level loop with a dims-only extent). Concurrent
-// RunRange calls over disjoint ranges are safe as long as the ranges write
-// disjoint output elements — the lowering's responsibility, declared via
-// codegen's ParallelOuter flag.
-func (cp *Compiled) Partitionable() bool { return cp.extent != nil }
-
-// OuterExtent evaluates the outer loop's extent for concrete dims. It
-// returns 0 when the kernel is not partitionable. The evaluation reads the
-// dim values directly — no frame is built.
-func (cp *Compiled) OuterExtent(dims []int) int {
-	if cp.extent == nil || len(dims) != len(cp.kernel.DimNames) {
-		return 0
-	}
-	return cp.extent(dims)
-}
-
-// RunRange executes outer-loop iterations [lo, hi) only. Iterations run in
-// ascending order, exactly as a full Run would visit them, so splitting
-// [0, extent) into contiguous ranges produces bit-identical stores. The
-// range is seeded into the program's dedicated lo/hi registers before
-// dispatch.
-func (cp *Compiled) RunRange(bufs [][]float32, dims []int, lo, hi int) error {
-	if cp.extent == nil {
-		return fmt.Errorf("kir: kernel %s: not partitionable", cp.kernel.Name)
-	}
-	if err := cp.checkArgs(bufs, dims); err != nil {
-		return err
-	}
-	if n := cp.extent(dims); hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	f := cp.getFrame(bufs, dims)
-	defer cp.putFrame(f)
-	f.ints[cp.prog.loReg] = lo
-	f.ints[cp.prog.hiReg] = hi
 	cp.prog.exec(f)
 	return nil
 }

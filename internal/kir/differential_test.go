@@ -10,8 +10,7 @@ import (
 // The differential suite: random programs are executed by the bytecode VM
 // and the reference tree-walking interpreter, and all stores must agree bit
 // for bit (math.Float32bits equality, so NaN propagation and -0 are checked
-// too). Partitionable programs additionally run as random contiguous
-// RunRange splits, which must reproduce the full run exactly.
+// too).
 
 // genProgram builds a random valid kernel from the seed. Every buffer index
 // is kept in bounds by construction (non-negative affine/min/mod arithmetic
@@ -39,7 +38,7 @@ func genProgram(seed int64) *Kernel {
 		DimNames:   []string{"d0", "d1"}[:1+r.Intn(2)],
 	}
 	if r.Intn(3) == 0 {
-		// Partitionable shape: a single outer loop over a dims-only extent.
+		// Lowered-kernel shape: a single outer loop over a dims-only extent.
 		v := g.fresh("i")
 		g.intVars = append(g.intVars, v)
 		g.k.Body = []Stmt{SLoop{Var: v, Extent: g.dimExtent(), Body: g.stmts(2 + r.Intn(3))}}
@@ -64,7 +63,7 @@ func (g *progGen) total() IntExpr {
 	return e
 }
 
-// dimExtent is a dims-only loop extent (for partitionable outer loops).
+// dimExtent is a dims-only loop extent (for single outer loops).
 func (g *progGen) dimExtent() IntExpr {
 	d := IDim(g.k.DimNames[g.r.Intn(len(g.k.DimNames))])
 	switch g.r.Intn(3) {
@@ -358,9 +357,8 @@ func bufsBitEqual(a, b [][]float32) (int, int, bool) {
 // checkDifferential compiles k, runs the VM and the reference interpreter
 // on identical inputs, and requires bit-identical stores. A program Finalize
 // rejects is skipped (TestFinalizeRejectsBadPrograms owns the rejection
-// classes); a program it accepts must interpret without error. For
-// partitionable programs it re-runs the bytecode via random contiguous
-// RunRange splits. Returns an error description or "" on agreement.
+// classes); a program it accepts must interpret without error. Returns an
+// error description or "" on agreement.
 func checkDifferential(k *Kernel, dims []int, seed int64) string {
 	cpB, err := k.Finalize()
 	if err != nil {
@@ -386,27 +384,6 @@ func checkDifferential(k *Kernel, dims []int, seed int64) string {
 	if i, j, ok := bufsBitEqual(bc, ref); !ok {
 		return fmt.Sprintf("bytecode vs interpreter: buf %d[%d]: %x != %x\n%s",
 			i, j, math.Float32bits(bc[i][j]), math.Float32bits(ref[i][j]), cpB.Disassemble())
-	}
-	if !cpB.Partitionable() {
-		return ""
-	}
-	// Random contiguous splits must replay the full run exactly.
-	n := cpB.OuterExtent(dims)
-	r := rand.New(rand.NewSource(seed ^ 0x5eed))
-	for trial := 0; trial < 3; trial++ {
-		rng := cloneBufs(fillBufs(k.NumBuffers, size, seed))
-		lo := 0
-		for lo < n {
-			hi := lo + 1 + r.Intn(n-lo)
-			if err := cpB.RunRange(rng, dims, lo, hi); err != nil {
-				return fmt.Sprintf("RunRange(%d,%d): %v", lo, hi, err)
-			}
-			lo = hi
-		}
-		if i, j, ok := bufsBitEqual(rng, bc); !ok {
-			return fmt.Sprintf("RunRange split vs full run: buf %d[%d]: %x != %x\n%s",
-				i, j, math.Float32bits(rng[i][j]), math.Float32bits(bc[i][j]), cpB.Disassemble())
-		}
 	}
 	return ""
 }
@@ -493,8 +470,8 @@ func TestDifferentialHandWritten(t *testing.T) {
 }
 
 // FuzzKIRProgram drives the same generator + differential oracle from the
-// native fuzzer: any seed where the VM and the interpreter disagree (or
-// where a RunRange split diverges from the full run) is a crasher.
+// native fuzzer: any seed where the VM and the interpreter disagree is a
+// crasher.
 func FuzzKIRProgram(f *testing.F) {
 	for s := int64(0); s < 16; s++ {
 		f.Add(s, uint8(3), uint8(4))

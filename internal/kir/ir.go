@@ -40,8 +40,7 @@ const (
 	IMul
 	IDiv
 	IMod
-	// IMin yields the smaller operand — used by partitioned reduction
-	// programs to clamp the last chunk's extent.
+	// IMin yields the smaller operand.
 	IMin
 )
 

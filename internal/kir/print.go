@@ -78,9 +78,6 @@ func (cp *Compiled) Disassemble() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; kernel %s: %d instrs, %d superinstructions, %d int regs, %d f32 regs",
 		cp.kernel.Name, len(cp.prog.code), cp.prog.supers, cp.nInts, cp.nFloats)
-	if cp.prog.loReg >= 0 {
-		fmt.Fprintf(&sb, ", range regs i%d/i%d", cp.prog.loReg, cp.prog.hiReg)
-	}
 	sb.WriteByte('\n')
 	for pc, in := range cp.prog.code {
 		fmt.Fprintf(&sb, "%4d  %s\n", pc, formatInstr(in))

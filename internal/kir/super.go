@@ -56,9 +56,8 @@ type rowMatch struct {
 }
 
 // trySuper matches and emits a superinstruction for the loop; it reports
-// whether the loop was fully absorbed. rng selects compilation against the
-// partitionable lo/hi registers instead of [0, extent).
-func (c *bcompiler) trySuper(s SLoop, rng bool) bool {
+// whether the loop was fully absorbed.
+func (c *bcompiler) trySuper(s SLoop) bool {
 	if s.Flags&LoopStride1 == 0 {
 		return false
 	}
@@ -74,7 +73,7 @@ func (c *bcompiler) trySuper(s SLoop, rng bool) bool {
 			return false
 		}
 	}
-	c.emitSuper(m, s, rng)
+	c.emitSuper(m, s)
 	return true
 }
 
@@ -446,35 +445,16 @@ func (c *bcompiler) classifyBinScalar(fb FBin, ctx rowCtx) (rowMatch, bool) {
 }
 
 // emitSuper emits the base/count setup and the row instruction.
-func (c *bcompiler) emitSuper(m rowMatch, s SLoop, rng bool) {
-	// Element count: extent (or hi-lo) times the unroll factor.
+func (c *bcompiler) emitSuper(m rowMatch, s SLoop) {
+	// Element count: extent times the unroll factor.
 	tn := c.tempInt()
-	if rng {
-		c.emit(instr{op: opISub, a: tn, b: c.hiReg, c: c.loReg})
-	} else {
-		c.emitInt(s.Extent, tn)
-	}
+	c.emitInt(s.Extent, tn)
 	if m.unroll > 1 {
 		c.emit(instr{op: opIMulImm, a: tn, b: tn, c: int32(m.unroll)})
-	}
-	// adjust shifts a base register by unroll*lo for range runs: iteration
-	// lo starts at element base + unroll*lo.
-	adjust := func(reg int32) {
-		if !rng {
-			return
-		}
-		if m.unroll == 1 {
-			c.emit(instr{op: opIAdd, a: reg, b: reg, c: c.loReg})
-			return
-		}
-		tk := c.tempInt()
-		c.emit(instr{op: opIConst, a: tk, b: int32(m.unroll)})
-		c.emit(instr{op: opIMulAdd, a: reg, b: tk, c: c.loReg, d: reg})
 	}
 	if m.kind == rkReduce {
 		tb := c.tempInt()
 		c.emitInt(m.xBase, tb)
-		adjust(tb)
 		acc := c.fltReg(m.accName)
 		c.emit(instr{op: opRowReduce, a: acc, b: int32(m.xBuf), c: tb, d: tn, g: int32(m.bin)})
 		c.supers++
@@ -483,7 +463,6 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop, rng bool) {
 	if m.kind == rkFill {
 		bd := c.tempInt()
 		c.emitInt(m.dstBase, bd)
-		adjust(bd)
 		rs := c.fltOperand(m.scalar1)
 		c.emit(instr{op: opRowFill, a: int32(m.dstBuf), c: rs, d: bd, e: tn})
 		c.supers++
@@ -494,13 +473,8 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop, rng bool) {
 		bx := c.tempInt()
 		ts := c.tempInt()
 		c.emitInt(m.dstBase, bd)
-		adjust(bd)
 		c.emitInt(m.xBase, bx)
 		c.emitInt(m.xStride, ts)
-		if rng {
-			// Iteration lo reads from source element xBase + lo*stride.
-			c.emit(instr{op: opIMulAdd, a: bx, b: ts, c: c.loReg, d: bx})
-		}
 		c.emit(instr{op: opRowGathS, a: int32(m.dstBuf), b: int32(m.xBuf), c: ts, d: bd, e: tn,
 			g: int32(m.un)})
 		c.supers++
@@ -515,12 +489,9 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop, rng bool) {
 		by = c.tempInt()
 	}
 	c.emitInt(m.dstBase, bd)
-	adjust(bd)
 	c.emitInt(m.xBase, bx)
-	adjust(bx)
 	if m.kind == rkZip || m.kind == rkMapZip {
 		c.emitInt(m.yBase, by)
-		adjust(by)
 	}
 	switch m.kind {
 	case rkCopy:

@@ -12,7 +12,7 @@
 // Three pieces:
 //
 //   - Tracer/Span (trace.go): hierarchical wall-time spans per request —
-//     infer → cache-lookup → compile → exec → per-unit kernel/partition →
+//     infer → cache-lookup → compile → exec → per-unit kernel/library →
 //     fallback/retry — with string attributes (engine signature, shape
 //     bucket, kernel name). Completed root spans land in a bounded ring
 //     and export as structured JSON or as a Chrome trace_event file

@@ -7,9 +7,7 @@ import (
 )
 
 // Span is one timed node of a request trace. All methods are safe on a
-// nil receiver (the observability-off state) and safe for concurrent use:
-// the parallel execution engine opens child spans from several worker
-// goroutines at once.
+// nil receiver (the observability-off state) and safe for concurrent use.
 type Span struct {
 	name  string
 	start time.Time

@@ -13,14 +13,14 @@ import (
 )
 
 // Differential net over the optimization pipelines: every random graph is
-// optimized (Default and WithoutDuplication), compiled and executed at a
-// randomized worker count, then compared against graph.Evaluate on an
+// optimized (Default and WithoutDuplication), compiled and executed,
+// then compared against graph.Evaluate on an
 // unoptimized reference copy built from the same seed. Any disagreement
 // is an optimizer miscompile. Tolerances are loose enough to absorb the
 // re-associations Decompose introduces (e.g. softmax lowered to
 // exp/sum/div), nothing more.
 
-func compileAndCompare(t *testing.T, seed uint64, steps, h, workers int, pipeline *opt.Pipeline) {
+func compileAndCompare(t *testing.T, seed uint64, steps, h int, pipeline *opt.Pipeline) {
 	t.Helper()
 	ref := randgraph.Build(seed, steps, h)
 	g := randgraph.Build(seed, steps, h)
@@ -31,9 +31,7 @@ func compileAndCompare(t *testing.T, seed uint64, steps, h, workers int, pipelin
 	if err != nil {
 		t.Fatalf("seed %d: plan: %v", seed, err)
 	}
-	o := exec.DefaultOptions()
-	o.Workers = workers
-	exe, err := exec.Compile(g, plan, device.A10(), o)
+	exe, err := exec.Compile(g, plan, device.A10(), exec.DefaultOptions())
 	if err != nil {
 		t.Fatalf("seed %d: compile: %v", seed, err)
 	}
@@ -46,15 +44,15 @@ func compileAndCompare(t *testing.T, seed uint64, steps, h, workers int, pipelin
 		}
 		got, err := exe.Run(ins)
 		if err != nil {
-			t.Fatalf("seed %d shape %v workers %d: run: %v", seed, shape, workers, err)
+			t.Fatalf("seed %d shape %v: run: %v", seed, shape, err)
 		}
 		if len(got.Outputs) != len(want) {
 			t.Fatalf("seed %d: output arity %d, want %d", seed, len(got.Outputs), len(want))
 		}
 		for i := range want {
 			if err := tensor.AllClose(got.Outputs[i], want[i], 2e-4, 2e-4); err != nil {
-				t.Fatalf("seed %d shape %v workers %d output %d: optimized and reference disagree: %v",
-					seed, shape, workers, i, err)
+				t.Fatalf("seed %d shape %v output %d: optimized and reference disagree: %v",
+					seed, shape, i, err)
 			}
 		}
 	}
@@ -62,21 +60,17 @@ func compileAndCompare(t *testing.T, seed uint64, steps, h, workers int, pipelin
 
 func TestDifferentialDefaultPipeline(t *testing.T) {
 	const trials = 40
-	wr := tensor.NewRNG(11)
 	for seed := uint64(1); seed <= trials; seed++ {
 		steps := 4 + int(seed%12)
 		h := []int{4, 8, 16}[seed%3]
-		workers := 1 + int(wr.Intn(4)) // randomized 1..4
-		compileAndCompare(t, seed, steps, h, workers, opt.Default())
+		compileAndCompare(t, seed, steps, h, opt.Default())
 	}
 }
 
 func TestDifferentialWithoutDuplication(t *testing.T) {
 	const trials = 20
-	wr := tensor.NewRNG(23)
 	for seed := uint64(300); seed < 300+trials; seed++ {
-		workers := 1 + int(wr.Intn(4))
-		compileAndCompare(t, seed, 8, 8, workers, opt.WithoutDuplication())
+		compileAndCompare(t, seed, 8, 8, opt.WithoutDuplication())
 	}
 }
 
@@ -86,9 +80,8 @@ func TestDifferentialWithoutDuplication(t *testing.T) {
 func TestDifferentialPipelinesAgree(t *testing.T) {
 	const trials = 20
 	dev := device.A10()
-	wr := tensor.NewRNG(31)
 	for seed := uint64(400); seed < 400+trials; seed++ {
-		mk := func(p *opt.Pipeline, workers int) *exec.Executable {
+		mk := func(p *opt.Pipeline) *exec.Executable {
 			g := randgraph.Build(seed, 10, 8)
 			if _, err := p.Run(g); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -97,16 +90,14 @@ func TestDifferentialPipelinesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			o := exec.DefaultOptions()
-			o.Workers = workers
-			exe, err := exec.Compile(g, plan, dev, o)
+			exe, err := exec.Compile(g, plan, dev, exec.DefaultOptions())
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			return exe
 		}
-		full := mk(opt.Default(), 1+int(wr.Intn(4)))
-		noDup := mk(opt.WithoutDuplication(), 1+int(wr.Intn(4)))
+		full := mk(opt.Default())
+		noDup := mk(opt.WithoutDuplication())
 		r := tensor.NewRNG(seed)
 		ins := randgraph.Inputs(r, 2, 11, 8)
 		fres, err := full.Run(ins)

@@ -135,13 +135,12 @@ func (p *Pool) Observe(reg *obs.Registry, labels ...obs.Label) {
 // Session is a per-run view of a shared Pool: each invocation of an
 // executable opens one, routes every Get/Put through it, and thereby keeps
 // per-run bookkeeping (outstanding buffers, traffic) out of the shared
-// pool. A Session belongs to exactly one run, but that run may execute on
-// several worker goroutines at once (the parallel executor's partitioned
-// kernels allocate scratch concurrently), so the counters are atomic.
+// pool. A Session belongs to exactly one run, which executes on one
+// goroutine, so its counters need no synchronization.
 type Session struct {
 	pool *Pool
-	gets atomic.Int64
-	puts atomic.Int64
+	gets int
+	puts int
 }
 
 // Session opens a per-run handle on the pool.
@@ -155,7 +154,7 @@ func (s *Session) Get(n int) ([]float32, error) {
 	if err := s.pool.faults.Load().Check(faultinject.SiteAlloc); err != nil {
 		return nil, fmt.Errorf("ral: alloc %d elems: %w", n, err)
 	}
-	s.gets.Add(1)
+	s.gets++
 	return s.pool.Get(n), nil
 }
 
@@ -164,14 +163,14 @@ func (s *Session) Put(buf []float32) {
 	if buf == nil {
 		return
 	}
-	s.puts.Add(1)
+	s.puts++
 	s.pool.Put(buf)
 }
 
 // Outstanding reports buffers drawn but not yet returned. After a run has
 // released everything it must be zero — the invariant the concurrency
 // tests assert so that leaks in one request cannot starve the others.
-func (s *Session) Outstanding() int { return int(s.gets.Load() - s.puts.Load()) }
+func (s *Session) Outstanding() int { return s.gets - s.puts }
 
 // Profiler accumulates the simulated execution profile of a run (or many).
 type Profiler struct {
@@ -189,15 +188,10 @@ type Profiler struct {
 	VariantHits map[string]int
 	// PerKernel accumulates simulated time by kernel name.
 	PerKernel map[string]float64
-	// Partitions counts kernel partition chunks executed by the parallel
-	// executor (0 for sequential runs; a partitioned launch of C chunks
-	// adds C).
-	Partitions int
 	// KernelWallNs accumulates real host wall-clock nanoseconds spent inside
 	// compiled kernel programs (generated-kernel substrate only — library
 	// calls excluded, so it measures exactly the code the kernel compiler
-	// owns). Recorded on the sequential execution path; parallel workers
-	// skip the timer to stay lock-free.
+	// owns). Every kernel launch is timed.
 	KernelWallNs float64
 	// KernelRuns counts the kernel program invocations timed into
 	// KernelWallNs.
@@ -258,7 +252,6 @@ func (pr *Profiler) Add(o *Profiler) {
 	pr.SimulatedNs += o.SimulatedNs
 	pr.HostNs += o.HostNs
 	pr.CompileNs += o.CompileNs
-	pr.Partitions += o.Partitions
 	pr.KernelWallNs += o.KernelWallNs
 	pr.KernelRuns += o.KernelRuns
 	for k, v := range o.VariantHits {
@@ -267,27 +260,6 @@ func (pr *Profiler) Add(o *Profiler) {
 	for k, v := range o.PerKernel {
 		pr.PerKernel[k] += v
 	}
-}
-
-// SharedProfiler is the concurrency-safe aggregation point of a parallel
-// run: worker goroutines record each unit's launches into a private
-// Profiler shard and merge it here, so the hot per-launch methods stay
-// lock-free and the shared profile is only touched once per unit. The
-// zero value is not usable; wrap an existing Profiler with ShareProfiler.
-type SharedProfiler struct {
-	mu sync.Mutex
-	pr *Profiler
-}
-
-// ShareProfiler wraps pr for concurrent shard merging. The underlying
-// Profiler must not be read until every worker is done merging.
-func ShareProfiler(pr *Profiler) *SharedProfiler { return &SharedProfiler{pr: pr} }
-
-// Merge folds one worker shard into the shared profile.
-func (sp *SharedProfiler) Merge(shard *Profiler) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.pr.Add(shard)
 }
 
 // String renders a human-readable summary.

@@ -14,18 +14,18 @@ import (
 )
 
 // TestBatchDifferentialRandGraph is the batching correctness suite: over
-// random dynamic-shape models, randomized batch compositions and worker
-// counts, every batched response must be BIT-identical to the same request
-// served solo by an identical pipeline. The symbolic cache key guarantees
-// batch-1 and batch-N runs execute the same compiled engine, and the
-// parallel partitioner is bit-deterministic, so any divergence here is a
-// real row-dependence the batchability analysis failed to reject.
+// random dynamic-shape models, randomized batch compositions and batched
+// servers admitting w concurrent executions, every batched response must be
+// BIT-identical to the same request served solo by an identical pipeline.
+// The symbolic cache key guarantees batch-1 and batch-N runs execute the
+// same compiled engine, so any divergence here is a real row-dependence the
+// batchability analysis failed to reject.
 func TestBatchDifferentialRandGraph(t *testing.T) {
 	seeds := []uint64{1, 2, 5, 11}
-	workers := []int{1, 2, 4}
+	slots := []int{1, 2, 4}
 	for si, seed := range seeds {
 		seed := seed
-		w := workers[si%len(workers)]
+		w := slots[si%len(slots)]
 		t.Run(fmt.Sprintf("seed%d_w%d", seed, w), func(t *testing.T) {
 			t.Parallel()
 			build := func() *graph.Graph { return randgraph.Build(seed, 6, 8) }
@@ -33,10 +33,10 @@ func TestBatchDifferentialRandGraph(t *testing.T) {
 				t.Fatalf("randgraph seed %d rejected by analysis: %s", seed, info.reason)
 			}
 
-			batched := New(Config{MaxConcurrent: 8, Workers: w,
+			batched := New(Config{MaxConcurrent: w,
 				MaxBatchSize: 32, MaxLinger: 100 * time.Millisecond}, realCompile(nil))
 			defer batched.Close()
-			solo := New(Config{MaxConcurrent: 8, Workers: w}, realCompile(nil))
+			solo := New(Config{MaxConcurrent: 8}, realCompile(nil))
 			defer solo.Close()
 			name := fmt.Sprintf("fuzz%d", seed)
 			if err := batched.Register(name, build); err != nil {

@@ -34,7 +34,6 @@ func governedCompile(sp **Server, exe **exec.Executable, mu *sync.Mutex, kernelD
 			return nil, err
 		}
 		eo := exec.DefaultOptions()
-		eo.Workers = 1
 		eo.Governor = (*sp).Governor()
 		eo.Pool = (*sp).BufferPool()
 		eo.Faults = faultinject.New(11).

@@ -126,15 +126,6 @@ type Config struct {
 	// For tests and ablations.
 	DisableFallback bool
 
-	// Workers is the per-request parallelism of the execution engine:
-	// each run schedules independent kernels over the unit DAG and
-	// partitions large kernels across up to Workers goroutines (the
-	// request's own goroutine included). Default exec.DefaultWorkers()
-	// (GODISC_WORKERS or GOMAXPROCS); 1 keeps engines sequential. All
-	// engines of a server share ONE worker pool, so helper goroutines are
-	// bounded per server — not multiplied per concurrent request.
-	Workers int
-
 	// EngineCache, when non-nil, is a persistent engine cache consulted
 	// (inside the singleflight) before compiling and populated after each
 	// successful compilation, so a restarted server reaches full speed
@@ -168,7 +159,7 @@ type Config struct {
 	CompileWorkers int
 
 	// Observer, when non-nil, receives one hierarchical span per Infer
-	// call (infer → cache-lookup/compile → exec → kernel/partition →
+	// call (infer → cache-lookup/compile → exec → kernel/library →
 	// fallback/retry). The exec-layer children only appear when the
 	// compiled engines were built with the same hook (exec.Options.Hook);
 	// the request span rides the run context so the Engine interface
@@ -254,9 +245,6 @@ type Server struct {
 	cfg     Config
 	compile CompileFunc
 	cache   *ral.Cache
-	// pool is the server-wide execution worker pool shared by every
-	// compiled engine (nil when Workers resolves to 1).
-	pool *exec.WorkerPool
 	// bufs is the server-wide buffer pool every engine draws its pooled
 	// intermediates from (see BufferPool).
 	bufs *ral.Pool
@@ -362,9 +350,6 @@ func New(cfg Config, compile CompileFunc) *Server {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 10 * time.Second
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = exec.DefaultWorkers()
-	}
 	if cfg.MaxBatchSize > 1 && cfg.MaxLinger <= 0 {
 		cfg.MaxLinger = lingerDefault
 	}
@@ -379,17 +364,12 @@ func New(cfg Config, compile CompileFunc) *Server {
 		}
 	}
 	cfg.EngineCache.SetMetrics(cfg.Metrics)
-	var pool *exec.WorkerPool
-	if cfg.Workers > 1 {
-		pool = exec.NewWorkerPool(cfg.Workers)
-	}
 	forceCtx, forceCancel := context.WithCancel(context.Background())
 	stats := newCollector(cfg.Metrics)
 	s := &Server{
 		cfg:         cfg,
 		compile:     compile,
 		cache:       ral.NewCache(),
-		pool:        pool,
 		bufs:        ral.NewPool(),
 		models:      map[string]*modelEntry{},
 		breakers:    map[string]*breaker{},
@@ -415,13 +395,6 @@ func New(cfg Config, compile CompileFunc) *Server {
 // exec.Options.Governor so every engine run reserves its footprint
 // against the shared budget.
 func (s *Server) Governor() *ral.Governor { return s.gov }
-
-// WorkerPool returns the server-wide execution worker pool that every
-// compiled engine should share, or nil when the server is configured
-// sequential (Workers: 1). Compile functions thread it into
-// exec.Options.WorkerPool so concurrent requests multiplex one bounded
-// set of helper goroutines instead of spawning Workers-1 each.
-func (s *Server) WorkerPool() *exec.WorkerPool { return s.pool }
 
 // BufferPool returns the server-wide buffer pool that every compiled
 // engine should draw its intermediates from — BladeDISC's one RAL

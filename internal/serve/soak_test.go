@@ -67,7 +67,6 @@ func TestSoakGovernedOverload(t *testing.T) {
 			return nil, err
 		}
 		eo := exec.DefaultOptions()
-		eo.Workers = 1
 		eo.Governor = s.Governor()
 		eo.Pool = s.BufferPool()
 		eo.Faults = inj
@@ -85,9 +84,7 @@ func TestSoakGovernedOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := exec.DefaultOptions()
-	popts.Workers = 1
-	pexe, err := exec.Compile(pg, pplan, device.A10(), popts)
+	pexe, err := exec.Compile(pg, pplan, device.A10(), exec.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
