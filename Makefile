@@ -2,11 +2,10 @@
 # executor and kernel-VM suites in shuffled order, then the race detector
 # over the concurrent serving/execution paths, then the per-package
 # coverage floors, then a randomized chaos replay with fault injection
-# enabled, then an informational bench comparison against the checked-in
-# results.
-.PHONY: verify build vet test shuffle race cover fuzz bench bench-compare chaos soak
+# enabled.
+.PHONY: verify build vet test shuffle race cover fuzz chaos soak
 
-verify: build vet test shuffle race cover chaos bench-compare
+verify: build vet test shuffle race cover chaos
 
 build:
 	go build ./...
@@ -17,11 +16,13 @@ vet:
 test:
 	go test ./...
 
-# shuffle reruns the executor and kernel-VM suites three times in random
-# test order (a failing run prints its -test.shuffle seed), so a test that
-# only passes after another one has warmed a pool or cache fails here.
+# shuffle reruns the executor, kernel-VM, serving, RAL and fleet suites
+# three times in random test order (a failing run prints its -test.shuffle
+# seed), so a test that only passes after another one has warmed a pool or
+# cache fails here.
 shuffle:
-	go test -shuffle=on -count=3 ./internal/exec ./internal/kir
+	go test -shuffle=on -count=3 ./internal/exec ./internal/kir \
+		./internal/serve ./internal/ral ./internal/fleet
 
 # race includes a ~1s slice of the governance soak (TestSoakGovernedOverload);
 # `make soak` runs the full 30s version.
@@ -87,24 +88,3 @@ soak:
 		-run TestSoakGovernedOverload ./internal/serve
 	GODISC_SOAK=$(SOAKTIME) go test -race -count=1 -v \
 		-run TestSaturationFleetHTTP ./internal/fleet
-
-# bench runs every experiment benchmark once and checks the parsed
-# results (per-experiment custom metrics) into BENCH_PR$(PR).json:
-# `make bench PR=14`. -benchtime=1x because each benchmark iteration is
-# itself a whole experiment replay.
-bench:
-	@if [ -z "$(PR)" ]; then echo "bench: set PR=<n> to name the output, e.g. make bench PR=14 (writes BENCH_PR14.json)"; exit 1; fi
-	go test -run '^$$' -bench=. -benchtime=1x -benchmem . | tee bench.out
-	go run ./cmd/benchjson -in bench.out -out BENCH_PR$(PR).json
-	@rm -f bench.out
-	@echo "wrote BENCH_PR$(PR).json"
-
-# bench-compare prints deltas between the two most recent checked-in
-# BENCH_*.json files (or against itself when only one exists). It is
-# informational and never fails the build.
-bench-compare:
-	@files=$$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
-	set -- $$files; \
-	if [ $$# -eq 0 ]; then echo "bench-compare: no BENCH_*.json checked in (run 'make bench')"; \
-	elif [ $$# -eq 1 ]; then go run ./cmd/benchjson -compare "$$1" "$$1" || true; \
-	else go run ./cmd/benchjson -compare "$$1" "$$2" || true; fi

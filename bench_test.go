@@ -256,8 +256,8 @@ func BenchmarkE15DynamicBatching(b *testing.B) {
 }
 
 // BenchmarkE16ColdStart regenerates the cold-start table: time to first
-// response cold vs warm restart (persistent engine cache) and sync vs
-// async compile, plus the warm run's zero-compile and bit-identity proofs.
+// response cold vs warm restart (persistent engine cache), plus the warm
+// run's zero-compile and bit-identity proofs.
 func BenchmarkE16ColdStart(b *testing.B) {
 	var rows []bench.ColdStartRow
 	for i := 0; i < b.N; i++ {
@@ -275,7 +275,6 @@ func BenchmarkE16ColdStart(b *testing.B) {
 		}
 		warmCompiles += float64(r.WarmCompiles)
 		b.ReportMetric(r.ColdSyncMs/r.WarmSyncMs, "warm_speedup_"+r.Model)
-		b.ReportMetric(r.ColdSyncMs/r.ColdAsyncMs, "async_ttfr_gain_"+r.Model)
 	}
 	b.ReportMetric(warmCompiles, "warm_compilations")
 	b.ReportMetric(identical, "bit_identical")

@@ -17,11 +17,11 @@
 // With -cache-dir the server persists every compiled engine and reloads
 // it on the next run — a warm restart serves entirely from disk, zero
 // compilations — and the startup report counts loaded / corrupt /
-// fingerprint-mismatched entries. -async-compile removes the first-seen
-// compile stall: the request is answered by the interpreter immediately
-// while the engine builds in the background.
+// fingerprint-mismatched entries. A signature missing from both caches
+// compiles once, on the request that first needs it; -warm moves that
+// compile ahead of the replay.
 //
-//	discserve -cache-dir /var/cache/godisc -async-compile
+//	discserve -cache-dir /var/cache/godisc -warm
 package main
 
 import (
@@ -69,7 +69,6 @@ type options struct {
 	Quotas       string        // per-model quotas "model=n,model=n"
 	PriorityMix  string        // "I:B:E" weights for request priorities
 	CacheDir     string        // persistent engine cache dir ("" = off)
-	AsyncCompile bool          // serve first-seen signatures via fallback while compiling
 	HTTP         string        // observability listen address ("" = off)
 	TraceOut     string        // write Chrome trace_event file here ("" = off)
 	TraceLimit   int           // request-trace ring capacity (0 = default)
@@ -129,8 +128,6 @@ func main() {
 		"interactive:batch:best-effort request weights, e.g. 1:2:1 (empty = all batch)")
 	flag.StringVar(&o.CacheDir, "cache-dir", "",
 		"persist compiled engines here and reload them on restart (empty = off)")
-	flag.BoolVar(&o.AsyncCompile, "async-compile", false,
-		"serve first-seen signatures via the interpreter while the engine compiles in the background")
 	flag.StringVar(&o.HTTP, "http", "",
 		"serve /metrics (Prometheus text) and /debug/trace on this address (e.g. :9090; empty = off)")
 	flag.StringVar(&o.TraceOut, "trace-out", "",
@@ -208,7 +205,7 @@ func run(o options, w io.Writer) error {
 		MaxConcurrent: o.Workers, QueueDepth: o.Queue,
 		MemoryBudgetBytes: o.MemBudget, WatchdogMultiple: o.Watchdog, ModelQuotas: quotas,
 		MaxBatchSize: o.BatchMax, MaxLinger: o.BatchLinger,
-		CacheDir: o.CacheDir, AsyncCompile: o.AsyncCompile,
+		CacheDir: o.CacheDir,
 	}
 	if o.HTTP != "" || o.TraceOut != "" {
 		tracer = godisc.NewTracer(o.TraceLimit)
@@ -426,7 +423,7 @@ func runServe(o options, w io.Writer) error {
 		MaxConcurrent: o.Workers, QueueDepth: o.Queue,
 		MemoryBudgetBytes: o.MemBudget, WatchdogMultiple: o.Watchdog, ModelQuotas: quotas,
 		MaxBatchSize: o.BatchMax, MaxLinger: o.BatchLinger,
-		CacheDir: o.CacheDir, AsyncCompile: o.AsyncCompile,
+		CacheDir: o.CacheDir,
 		Observer: tracer, Metrics: reg,
 	}, godisc.WithDevice(dev), godisc.WithFaults(inj))
 	fl, err := godisc.NewFleet(godisc.FleetConfig{

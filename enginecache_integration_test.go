@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"godisc/internal/servetest"
 )
@@ -202,61 +201,5 @@ func TestEngineCacheCorruptEntry(t *testing.T) {
 	}
 	if bad, err := os.ReadDir(filepath.Join(dir, ".bad")); err != nil || len(bad) != 1 {
 		t.Fatalf("damaged entry must be quarantined: %v %v", bad, err)
-	}
-}
-
-// TestEngineCacheAsyncCompile serves a first-seen signature through the
-// public API with AsyncCompile on: the first response comes from the
-// interpreter immediately (Compiling), later responses from the compiled
-// engine, and both agree with the reference evaluator.
-func TestEngineCacheAsyncCompile(t *testing.T) {
-	srv := cacheTestServer(t, ServerConfig{
-		MaxConcurrent: 4,
-		AsyncCompile:  true,
-		CacheDir:      t.TempDir(),
-	})
-	in := RandN(7, 1, 5, 8)
-	first, err := srv.Infer(context.Background(), &Request{Model: "mlp", Inputs: []*Tensor{in}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Compiling || !first.Fallback {
-		t.Fatalf("first-seen signature must be served by the interpreter while compiling: %+v", first)
-	}
-	want, err := Evaluate(buildPublicMLP(), []*Tensor{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AllClose(first.Outputs[0], want[0], 1e-5, 1e-6); err != nil {
-		t.Fatalf("fallback output: %v", err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := srv.Infer(context.Background(), &Request{Model: "mlp", Inputs: []*Tensor{in}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.CacheHit && !resp.Compiling {
-			if err := AllClose(resp.Outputs[0], want[0], 1e-5, 1e-6); err != nil {
-				t.Fatalf("engine output: %v", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compile never delivered an engine")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	st := srv.Stats()
-	shutdownServer(t, srv)
-	if st.Compilations != 1 {
-		t.Fatalf("exactly one background compile wanted: %+v", st)
-	}
-	if st.FallbackRuns == 0 {
-		t.Fatal("first request must run on the interpreter")
-	}
-	if st.EnginePersists != 1 {
-		t.Fatalf("async-compiled engine must be persisted: %+v", st)
 	}
 }

@@ -19,12 +19,11 @@ import (
 )
 
 // ColdStartRow is one model's line of the E16 cold-start experiment:
-// wall-clock time to the first response under three serving modes. Cold
-// sync pays the full compile on the request path; warm sync restarts onto
-// a populated engine cache and deserializes instead of compiling; cold
-// async answers immediately from the interpreter while the engine builds
-// in the background. All three are measured on this host — the experiment
-// is about the serving state machine, not the device model.
+// wall-clock time to the first response under two serving states. Cold
+// pays the full compile on the request path; warm restarts onto a
+// populated engine cache and deserializes instead of compiling. Both are
+// measured on this host — the experiment is about the serving state
+// machine, not the device model.
 type ColdStartRow struct {
 	Model string
 	// ColdSyncMs is time-to-first-response on an empty cache with
@@ -33,12 +32,6 @@ type ColdStartRow struct {
 	// WarmSyncMs is time-to-first-response of a fresh server process on
 	// the cache the cold run populated: decode from disk, zero compiles.
 	WarmSyncMs float64
-	// ColdAsyncMs is time-to-first-response on an empty cache with
-	// AsyncCompile: the interpreter answers while the compiler runs.
-	ColdAsyncMs float64
-	// EngineReadyMs is how long the async server took until the compiled
-	// engine (not the interpreter) served the signature.
-	EngineReadyMs float64
 	// WarmCompiles counts compiler invocations during the warm restart —
 	// the headline claim is that it is zero.
 	WarmCompiles int64
@@ -79,8 +72,8 @@ func e16Codecs(dev *device.Model) (func([]byte) (serve.Engine, error), func(serv
 }
 
 // ColdStart runs E16: per suite model, time-to-first-response cold vs
-// warm (persistent cache) and sync vs async (interpreter bridge), plus
-// the zero-compile and bit-identity proofs for the warm restart.
+// warm (persistent cache), plus the zero-compile and bit-identity proofs
+// for the warm restart.
 func ColdStart(cfg Config) ([]ColdStartRow, error) {
 	dev, err := cfg.device()
 	if err != nil {
@@ -154,47 +147,6 @@ func ColdStart(cfg Config) ([]ColdStartRow, error) {
 		}
 		warm.Close()
 
-		// Cold asynchronous: empty cache again, the interpreter answers
-		// while the engine compiles in the background.
-		adir, err := os.MkdirTemp("", "godisc-e16-async-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(adir)
-		ecAsync, err := enginecache.Open(adir, "e16")
-		if err != nil {
-			return nil, err
-		}
-		var asyncCompiles int64
-		async := serve.New(serve.Config{
-			MaxConcurrent: 2, AsyncCompile: true,
-			EngineCache: ecAsync, DecodeEngine: dec, EncodeEngine: enc,
-		}, e16Compile(dev, &asyncCompiles))
-		if err := async.Register(m.Name, m.Build); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		if _, err := async.Infer(context.Background(), &serve.Request{Model: m.Name, Inputs: inputs}); err != nil {
-			return nil, fmt.Errorf("e16 %s async: %w", m.Name, err)
-		}
-		row.ColdAsyncMs = float64(time.Since(start)) / 1e6
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			resp, err := async.Infer(context.Background(), &serve.Request{Model: m.Name, Inputs: inputs})
-			if err != nil {
-				return nil, fmt.Errorf("e16 %s async poll: %w", m.Name, err)
-			}
-			if resp.CacheHit && !resp.Compiling {
-				row.EngineReadyMs = float64(time.Since(start)) / 1e6
-				break
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("e16 %s: background compile never finished", m.Name)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		async.Close()
-
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -203,16 +155,14 @@ func ColdStart(cfg Config) ([]ColdStartRow, error) {
 // PrintColdStart renders the E16 table.
 func PrintColdStart(w io.Writer, cfg Config, rows []ColdStartRow) {
 	fmt.Fprintf(w, "Cold-start latency with the persistent engine cache (E16) on %s:\n", cfg.Device)
-	fmt.Fprintf(w, "time to first response, cold vs warm restart and sync vs async compile\n\n")
-	fmt.Fprintf(w, "%-8s %12s %12s %13s %12s %9s %10s\n",
-		"model", "cold ms", "warm ms", "cold+async", "ready ms", "compiles", "identical")
-	printRule(w, 8, 10)
+	fmt.Fprintf(w, "time to first response, cold vs warm restart\n\n")
+	fmt.Fprintf(w, "%-8s %12s %12s %9s %10s\n",
+		"model", "cold ms", "warm ms", "compiles", "identical")
+	printRule(w, 5, 11)
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %12.1f %12.1f %13.1f %12.1f %9d %10v\n",
-			r.Model, r.ColdSyncMs, r.WarmSyncMs, r.ColdAsyncMs, r.EngineReadyMs,
-			r.WarmCompiles, r.BitIdentical)
+		fmt.Fprintf(w, "%-8s %12.1f %12.1f %9d %10v\n",
+			r.Model, r.ColdSyncMs, r.WarmSyncMs, r.WarmCompiles, r.BitIdentical)
 	}
 	fmt.Fprintf(w, "\n(warm restarts deserialize engines from disk — the compiles column is\n")
-	fmt.Fprintf(w, " the warm server's compiler invocations and must be 0; cold+async is the\n")
-	fmt.Fprintf(w, " first response served by the interpreter while the engine builds.)\n")
+	fmt.Fprintf(w, " the warm server's compiler invocations and must be 0.)\n")
 }

@@ -186,11 +186,9 @@ func (f *Fleet) onOutcome(ev serve.OutcomeEvent) {
 	if !ok {
 		return
 	}
-	// A fallback served only because the engine is still compiling in the
-	// background is not a failure; every other fallback means the engine
-	// was abandoned.
+	// Every fallback means the engine was abandoned.
 	failed := ev.Hung || ev.BreakerOpened || ev.BreakerShorted ||
-		(ev.Fallback && !ev.Compiling) || healthRelevant(ev.Err)
+		ev.Fallback || healthRelevant(ev.Err)
 	if !failed && ev.Err != nil {
 		return // load shedding / client error / context outcome: not health
 	}

@@ -660,7 +660,7 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 	resp, err := f.srv.Infer(ctx, &serve.Request{Model: mv.regName, Inputs: inputs, Priority: prio})
 	f.releaseActive(mv)
 	if rt.probe {
-		f.probeDone(mv, err == nil && (!resp.Fallback || resp.Compiling))
+		f.probeDone(mv, err == nil && !resp.Fallback)
 	}
 	if err != nil && rt.stable != nil && StatusFor(err) >= 500 {
 		// Self-healing: a canary-routed default-pin request whose canary

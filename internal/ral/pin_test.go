@@ -57,115 +57,6 @@ func TestCachePinBlocksEvict(t *testing.T) {
 	c.Unpin("m@sig")
 }
 
-// TestCacheAcquirePeek covers the fast path: peek pins only when the
-// entry exists.
-func TestCacheAcquirePeek(t *testing.T) {
-	c := NewCache()
-	if _, ok := c.AcquirePeek("missing"); ok {
-		t.Fatal("peek of a missing key must not succeed")
-	}
-	if n := c.Pins("missing"); n != 0 {
-		t.Fatalf("failed peek must not pin: %d", n)
-	}
-	c.AcquirePut("k", "engine")
-	c.Unpin("k")
-	v, ok := c.AcquirePeek("k")
-	if !ok || v != "engine" {
-		t.Fatalf("peek: %v %v", v, ok)
-	}
-	if n := c.Pins("k"); n != 1 {
-		t.Fatalf("successful peek must pin: %d", n)
-	}
-	c.Unpin("k")
-	if n := c.Pins("k"); n != 0 {
-		t.Fatalf("unpin must drop to zero: %d", n)
-	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 0 {
-		t.Fatalf("only the successful peek is a hit: hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestCacheAcquirePut: the first binding of a key wins, every call returns
-// the holder pinned, and an insert moves neither hits nor misses.
-func TestCacheAcquirePut(t *testing.T) {
-	c := NewCache()
-	if v := c.AcquirePut("k", "first"); v != "first" {
-		t.Fatalf("insert into an empty slot returned %v", v)
-	}
-	if v := c.AcquirePut("k", "rival"); v != "first" {
-		t.Fatalf("second binding must lose: got %v", v)
-	}
-	if n := c.Pins("k"); n != 2 {
-		t.Fatalf("both calls must pin the holder: %d pins", n)
-	}
-	if evicted, pinned := c.Evict("k"); evicted || !pinned {
-		t.Fatalf("a put-pinned entry must refuse eviction: evicted=%v pinned=%v", evicted, pinned)
-	}
-	if hits, misses, entries := c.Stats(); hits != 0 || misses != 0 || entries != 1 {
-		t.Fatalf("stats %d/%d/%d, want 0/0/1", hits, misses, entries)
-	}
-	c.Unpin("k")
-	c.Unpin("k")
-	// A compile-path lookup sees the put value as a plain hit.
-	v, hit, err := c.AcquireOrCompile("k", func() (any, error) { return "compiled", nil })
-	if err != nil || !hit || v != "first" {
-		t.Fatalf("acquire after put: v=%v hit=%v err=%v", v, hit, err)
-	}
-	c.Unpin("k")
-	if evicted, _ := c.Evict("k"); !evicted {
-		t.Fatal("fully unpinned entry must evict")
-	}
-}
-
-// TestCacheAcquirePutDuringFlight: an insert never joins an in-flight
-// compilation of its key — it returns at once with its own value bound and
-// pinned — and the flight, the compiler and its waiters alike, adopts that
-// binding when it lands.
-func TestCacheAcquirePutDuringFlight(t *testing.T) {
-	c := NewCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	type result struct {
-		v   any
-		hit bool
-		err error
-	}
-	acquire := func(out chan<- result) {
-		v, hit, err := c.AcquireOrCompile("k", func() (any, error) {
-			close(started)
-			<-release
-			return "compiled", nil
-		})
-		out <- result{v, hit, err}
-	}
-	flyer := make(chan result, 1)
-	go acquire(flyer)
-	<-started
-	waiter := make(chan result, 1)
-	go acquire(waiter) // joins the flight (or, if late, hits the put binding)
-
-	// The flight is parked on release: a blocking AcquirePut would hang here.
-	if v := c.AcquirePut("k", "loaded"); v != "loaded" {
-		t.Fatalf("insert during a flight returned %v", v)
-	}
-	if v, ok := c.AcquirePeek("k"); !ok || v != "loaded" {
-		t.Fatalf("the binding must be visible before the flight lands: %v %v", v, ok)
-	}
-	close(release)
-	for _, ch := range []chan result{flyer, waiter} {
-		r := <-ch
-		if r.err != nil || r.v != "loaded" {
-			t.Fatalf("flight must adopt the first binding: %+v", r)
-		}
-	}
-	if n := c.Pins("k"); n != 4 {
-		t.Fatalf("put + peek + compiler + waiter = 4 pins, got %d", n)
-	}
-	if _, misses, entries := c.Stats(); misses != 1 || entries != 1 {
-		t.Fatalf("misses=%d entries=%d, want 1 and 1", misses, entries)
-	}
-}
-
 // TestCachePinRace hammers acquire/unpin/evict from many goroutines: the
 // invariant is that Evict never returns evicted=true while any pin is
 // outstanding, and the cache never deadlocks.

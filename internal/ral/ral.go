@@ -333,8 +333,7 @@ func NewCache() *Cache {
 //
 // On success the entry's pin count is incremented atomically with the
 // lookup, so Evict cannot remove it until the caller's matching Unpin. A
-// caller that only materializes the entry (a warm-up, a background
-// compilation) unpins at once.
+// caller that only materializes the entry (a warm-up) unpins at once.
 func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, bool, error) {
 	for {
 		c.mu.Lock()
@@ -354,13 +353,7 @@ func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, 
 			fc.v, fc.err = compile()
 			c.mu.Lock()
 			if fc.err == nil {
-				// An AcquirePut may have bound the key while this flight was
-				// in the air: the first binding wins.
-				if bound, ok := c.entries[key]; ok {
-					fc.v = bound
-				} else {
-					c.entries[key] = fc.v
-				}
+				c.entries[key] = fc.v
 				c.pins[key]++
 			}
 			delete(c.inflight, key)
@@ -387,43 +380,7 @@ func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, 
 	}
 }
 
-// AcquirePeek returns the cached value for key without ever blocking: no
-// singleflight join, no compile. The async-compile serving path uses it to
-// decide between "run the engine" and "serve the interpreter while a
-// background build runs". A present key counts as a hit and is pinned
-// atomically with the lookup; the caller must Unpin.
-func (c *Cache) AcquirePeek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-		c.pins[key]++
-	}
-	return v, ok
-}
-
-// AcquirePut binds key to v — a value produced outside AcquireOrCompile (a
-// deserialized engine) — unless the key is already bound, and returns
-// whichever value holds the key, pinned. The first binding of a key wins:
-// once an engine serves requests it is never hot-swapped for a rival, so
-// concurrent loaders and compilers converge on one engine per key. It never
-// blocks: an in-flight compilation of the same key is not joined, and
-// adopts this binding when it lands. An insert is not a lookup, so neither
-// hits nor misses move. The caller must Unpin.
-func (c *Cache) AcquirePut(key string, v any) any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if bound, ok := c.entries[key]; ok {
-		v = bound
-	} else {
-		c.entries[key] = v
-	}
-	c.pins[key]++
-	return v
-}
-
-// Unpin releases one AcquireOrCompile/AcquirePeek/AcquirePut pin.
+// Unpin releases one AcquireOrCompile pin.
 func (c *Cache) Unpin(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

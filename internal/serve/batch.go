@@ -399,7 +399,7 @@ func (b *batcher) join(ctx context.Context, sp *obs.Span, m *modelEntry, req *Re
 	}
 
 	mb := &batchMember{req: req, rows: rows, joinedAt: time.Now(), done: make(chan batchResult, 1)}
-	key := m.name + "@" + sig + lk
+	key := cacheKey(m.name, sig) + lk
 	// Lock order is always b.mu → ob.mu; the timer/abandon paths take
 	// ob.mu alone and the runner takes b.mu alone (map cleanup), so the
 	// two locks never invert.
@@ -599,7 +599,7 @@ func (ob *openBatch) run() {
 		defer sp.End()
 	}
 
-	key := ob.m.name + "@" + ob.sig
+	key := cacheKey(ob.m.name, ob.sig)
 	if br := s.breakerFor(key); br != nil && !br.allow(time.Now()) {
 		// Quarantined engine: members short-circuit to fallback solo,
 		// where the outcome is counted once per request.
@@ -618,22 +618,6 @@ func (ob *openBatch) run() {
 	}
 	defer release()
 
-	// Async compilation: a batch must not stall behind the compiler any
-	// more than a solo request would. On a cold engine, hand every member
-	// back to the solo path — each is then served by the interpreter while
-	// the background build (kicked by the solo path) proceeds.
-	if s.cfg.AsyncCompile && !s.cfg.DisableFallback {
-		_, _, ready, probeUnpin := s.engineFast(ob.m, ob.sig, key, sp)
-		if probeUnpin != nil {
-			// Readiness probe only — the run below re-acquires its own pin.
-			probeUnpin()
-		}
-		if !ready {
-			s.stats.batchRun("solo", rows)
-			ob.deliver(batchResult{solo: true})
-			return
-		}
-	}
 	eng, _, hit, unpin, err := s.engine(ob.m, sp)
 	if err != nil {
 		s.stats.batchRun("error", rows)

@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"godisc/internal/enginecache"
 	"godisc/internal/exec"
@@ -27,100 +25,6 @@ func cacheCodecs() (func([]byte) (Engine, error), func(Engine) ([]byte, error)) 
 		return servetest.EncodeExecutable(e)
 	}
 	return dec, enc
-}
-
-// TestAsyncCompileDedup fires concurrent first requests at one signature
-// with async compilation on: every request must be answered immediately
-// (fallback or engine), and the background compiler must run exactly once.
-func TestAsyncCompileDedup(t *testing.T) {
-	var compiles int32
-	s := New(Config{MaxConcurrent: 8, AsyncCompile: true, CompileWorkers: 1},
-		realCompile(&compiles))
-	defer s.Close()
-	if err := s.Register("mlp", buildMLP); err != nil {
-		t.Fatal(err)
-	}
-
-	r := tensor.NewRNG(3)
-	in := tensor.RandN(r, 0.5, 6, 12)
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := s.Infer(context.Background(), &Request{
-				Model: "mlp", Inputs: []*tensor.Tensor{in},
-			})
-			if err == nil && len(resp.Outputs) != 1 {
-				err = fmt.Errorf("bad output count %d", len(resp.Outputs))
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-
-	// Wait for the deduplicated background compile to land, then confirm
-	// the engine serves and exactly one compilation ever ran.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := s.Infer(context.Background(), &Request{
-			Model: "mlp", Inputs: []*tensor.Tensor{in},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.CacheHit && !resp.Compiling {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compile never delivered an engine")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := atomic.LoadInt32(&compiles); n != 1 {
-		t.Fatalf("concurrent first requests must compile once, got %d", n)
-	}
-}
-
-// TestAsyncCompileShutdownDrain shuts down immediately after the first
-// async request: Shutdown must wait for the in-flight background compile
-// and the engine must still be persisted.
-func TestAsyncCompileShutdownDrain(t *testing.T) {
-	dec, enc := cacheCodecs()
-	ec := servetest.OpenCache(t, t.TempDir())
-	var compiles int32
-	s := New(Config{
-		MaxConcurrent: 4, AsyncCompile: true,
-		EngineCache: ec, DecodeEngine: dec, EncodeEngine: enc,
-	}, realCompile(&compiles))
-	if err := s.Register("mlp", buildMLP); err != nil {
-		t.Fatal(err)
-	}
-
-	r := tensor.NewRNG(5)
-	resp, err := s.Infer(context.Background(), &Request{
-		Model: "mlp", Inputs: []*tensor.Tensor{tensor.RandN(r, 0.5, 3, 12)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Compiling {
-		t.Fatalf("first-seen request must report Compiling: %+v", resp)
-	}
-
-	servetest.Drain(t, s)
-	if n := atomic.LoadInt32(&compiles); n != 1 {
-		t.Fatalf("shutdown must drain the background compile, got %d compiles", n)
-	}
-	if st := ec.Stats(); st.Persists != 1 {
-		t.Fatalf("drained compile must persist its engine: %+v", st)
-	}
 }
 
 // TestCacheFaultsDegradeToMiss arms the cache-read and cache-write probes
@@ -243,7 +147,7 @@ func TestPersistBatchVerdictOnlyWhenBatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ent, err := servetest.OpenCache(t, dir).Load("mlp@" + sig)
+		ent, err := servetest.OpenCache(t, dir).Load(cacheKey("mlp", sig))
 		if ent == nil {
 			t.Fatalf("no persisted entry: %v", err)
 		}
@@ -313,13 +217,13 @@ func (e pinCheckEngine) RunContext(ctx context.Context, inputs []*tensor.Tensor)
 	return e.Engine.RunContext(ctx, inputs)
 }
 
-// TestAsyncWarmCacheRunsPinnedUnderEviction is the regression test for the
-// async fast path handing out an engine it had loaded from disk but not
-// pinned: with the persistent cache warm, clients keep meeting a first-seen
-// signature (an evictor empties the in-memory slot as fast as it can) and
-// every run on a decoded engine must observe its cache entry pinned — the
-// invariant EvictEngine's callers rely on to release an engine's memory.
-func TestAsyncWarmCacheRunsPinnedUnderEviction(t *testing.T) {
+// TestWarmCacheRunsPinnedUnderEviction: with the persistent cache warm,
+// clients keep meeting a first-seen signature (an evictor empties the
+// in-memory slot as fast as it can), so engines are reloaded from disk
+// under the singleflight while other clients run on them. Every run on a
+// decoded engine must observe its cache entry pinned — the invariant
+// EvictEngine's callers rely on to release an engine's memory.
+func TestWarmCacheRunsPinnedUnderEviction(t *testing.T) {
 	dec, enc := cacheCodecs()
 	dir := t.TempDir()
 	warm := New(Config{
@@ -353,8 +257,8 @@ func TestAsyncWarmCacheRunsPinnedUnderEviction(t *testing.T) {
 		}}, nil
 	}
 	s = New(Config{
-		MaxConcurrent: 8, AsyncCompile: true,
-		EngineCache: servetest.OpenCache(t, dir), DecodeEngine: pinDec, EncodeEngine: enc,
+		MaxConcurrent: 8,
+		EngineCache:   servetest.OpenCache(t, dir), DecodeEngine: pinDec, EncodeEngine: enc,
 	}, realCompile(&compiles))
 	if err := s.Register("mlp", buildMLP); err != nil {
 		t.Fatal(err)
@@ -363,7 +267,7 @@ func TestAsyncWarmCacheRunsPinnedUnderEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key = "mlp@" + sig
+	key = cacheKey("mlp", sig)
 
 	// A background evictor races the requests; between rounds, with every
 	// pin dropped, the slot is emptied for certain, so each round opens on
@@ -404,7 +308,7 @@ func TestAsyncWarmCacheRunsPinnedUnderEviction(t *testing.T) {
 						t.Errorf("round %d client %d: %v", round, c, err)
 						return
 					}
-					if resp.Compiling {
+					if resp.Fallback {
 						t.Errorf("round %d client %d: served by the interpreter over a warm cache", round, c)
 						return
 					}

@@ -10,6 +10,11 @@ import "fmt"
 // executing request holds a pin on its cache entry (ral.Cache), and Evict
 // refuses pinned entries.
 
+// cacheKey names the engine-cache entry of a model's symbolic signature.
+// The signature alone is not enough: two models with identical signatures
+// still differ in weights, so the key scopes it by model name.
+func cacheKey(model, sig string) string { return model + "@" + sig }
+
 // ModelSignature returns the symbolic shape signature of a registered
 // model — the second half of its engine-cache key. Callers that evict by
 // (model, signature) capture it at load time, before any unload removes
@@ -29,7 +34,7 @@ func (s *Server) ModelSignature(model string) (string, error) {
 // engine cache is untouched: the next request reloads it from disk (a
 // decode, not a compilation).
 func (s *Server) EvictEngine(model, sig string) (evicted, pinned bool) {
-	return s.cache.Evict(model + "@" + sig)
+	return s.cache.Evict(cacheKey(model, sig))
 }
 
 // Unregister removes a model's builder: later Infer calls fail with an
@@ -48,7 +53,7 @@ func (s *Server) Unregister(model string) error {
 	}
 	delete(s.models, model)
 	if sig, err := m.signature(); err == nil {
-		key := model + "@" + sig
+		key := cacheKey(model, sig)
 		delete(s.breakers, key)
 		s.wd.forget(key)
 	}

@@ -147,17 +147,6 @@ type Config struct {
 	DecodeEngine func(payload []byte) (Engine, error)
 	EncodeEngine func(e Engine) ([]byte, error)
 
-	// AsyncCompile changes how first-seen signatures are served: instead
-	// of stalling the request behind the compiler, the request is answered
-	// immediately through the interpreter fallback while a background
-	// worker (bounded by CompileWorkers, charged against the memory
-	// governor) compiles the engine; once it lands in the cache, later
-	// requests run compiled. Persistent-cache entries still load inline —
-	// decoding is milliseconds, so only true compilations go async.
-	AsyncCompile bool
-	// CompileWorkers bounds concurrent background compilations (default 2).
-	CompileWorkers int
-
 	// Observer, when non-nil, receives one hierarchical span per Infer
 	// call (infer → cache-lookup/compile → exec → kernel/library →
 	// fallback/retry). The exec-layer children only appear when the
@@ -208,11 +197,6 @@ type Response struct {
 	// extent (rows) of that run. Both stay zero on the solo path.
 	Batched   bool
 	BatchSize int
-	// Compiling reports that the signature's engine was not ready and is
-	// being built in the background (Config.AsyncCompile): this response
-	// came from the interpreter (Fallback is also set), and a later
-	// request will find the compiled engine.
-	Compiling bool
 }
 
 // OutcomeEvent describes the terminal outcome of one Infer call, emitted
@@ -226,11 +210,9 @@ type OutcomeEvent struct {
 	Model string
 	// Err is the error the Infer call returned (nil on success).
 	Err error
-	// Fallback and Compiling mirror the Response fields: the request was
-	// served by the interpreter, and (for Compiling) only because the
-	// engine is still being built — not because it failed.
-	Fallback  bool
-	Compiling bool
+	// Fallback mirrors the Response field: the request was served by the
+	// interpreter.
+	Fallback bool
 	// Hung reports the watchdog cancelled this request's engine run.
 	Hung bool
 	// BreakerOpened reports this request's failure tripped the engine's
@@ -256,13 +238,6 @@ type Server struct {
 
 	// inflight counts admitted Infer calls; Shutdown waits on it.
 	inflight sync.WaitGroup
-
-	// Async compilation state: compileSem bounds concurrent background
-	// builds, compiling dedupes per key (under mu), compileWG is joined by
-	// Shutdown so no build outlives the server.
-	compileSem chan struct{}
-	compiling  map[string]struct{}
-	compileWG  sync.WaitGroup
 
 	// forceCtx is cancelled by Shutdown when the drain deadline expires,
 	// which cancels every in-flight request's derived context.
@@ -353,9 +328,6 @@ func New(cfg Config, compile CompileFunc) *Server {
 	if cfg.MaxBatchSize > 1 && cfg.MaxLinger <= 0 {
 		cfg.MaxLinger = lingerDefault
 	}
-	if cfg.CompileWorkers <= 0 {
-		cfg.CompileWorkers = 2
-	}
 	if cfg.EngineCache == nil && cfg.CacheDir != "" && cfg.CacheFingerprint != "" {
 		// Best effort: an unopenable cache dir disables persistence, it
 		// must not take the server down.
@@ -373,8 +345,6 @@ func New(cfg Config, compile CompileFunc) *Server {
 		bufs:        ral.NewPool(),
 		models:      map[string]*modelEntry{},
 		breakers:    map[string]*breaker{},
-		compileSem:  make(chan struct{}, cfg.CompileWorkers),
-		compiling:   map[string]struct{}{},
 		forceCtx:    forceCtx,
 		forceCancel: forceCancel,
 		adm:         newAdmitter(cfg, stats),
@@ -460,9 +430,8 @@ func (s *Server) lookup(name string) (*modelEntry, error) {
 }
 
 // engine returns the cached engine for a model, compiling under the
-// signature-keyed singleflight cache on a cold key. The cache key scopes
-// the symbolic signature by model name, since two models with identical
-// signatures still differ in weights. The whole lookup runs under a
+// signature-keyed singleflight cache on a cold key (see cacheKey). It is
+// the only way a request gets an engine. The whole lookup runs under a
 // `cache-lookup` child of sp (nil when observability is off), with a
 // `compile` grandchild exactly when this call pays for the compilation.
 //
@@ -476,9 +445,9 @@ func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, string, bool, func
 	}
 	lsp := sp.Child("cache-lookup", obs.A("signature", sig))
 	defer lsp.End()
-	key := m.name + "@" + sig
+	key := cacheKey(m.name, sig)
 	v, hit, err := s.cache.AcquireOrCompile(key, func() (any, error) {
-		return s.buildEngine(m, sig, key, nil, lsp)
+		return s.buildEngine(m, sig, key, lsp)
 	})
 	lsp.SetAttr("hit", fmt.Sprintf("%t", hit))
 	if err != nil {
@@ -490,20 +459,15 @@ func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, string, bool, func
 // buildEngine resolves an engine that is not in memory: the persistent
 // cache first (a decode, not a compile), the compiler second — persisting
 // the fresh engine for the next process. Runs inside the singleflight, so
-// at most once per key at a time. g, when non-nil, is a pre-built graph
-// the compile may consume (the async path builds one for its footprint
-// estimate); nil means build fresh.
-func (s *Server) buildEngine(m *modelEntry, sig, key string, g *graph.Graph, sp *obs.Span) (any, error) {
+// at most once per key at a time.
+func (s *Server) buildEngine(m *modelEntry, sig, key string, sp *obs.Span) (any, error) {
 	if eng := s.loadPersisted(m, key, sp); eng != nil {
 		return eng, nil
 	}
 	csp := sp.Child("compile", obs.A("signature", sig))
 	defer csp.End()
 	s.stats.compilation()
-	if g == nil {
-		g = m.build()
-	}
-	eng, err := s.compile(g)
+	eng, err := s.compile(m.build())
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q (signature %s): %v: %w",
 			m.name, sig, err, discerr.ErrCompileFailed)
@@ -567,114 +531,6 @@ func (s *Server) persistEngine(m *modelEntry, key string, eng Engine) {
 	_ = ec.Persist(ent)
 }
 
-// engineFast resolves an engine without ever blocking on a compilation:
-// the in-memory cache, then an inline load from the persistent cache
-// (decoding is milliseconds, not a compile). ready=false means no engine
-// exists yet anywhere — the caller kicks a background compile and serves
-// the request through the interpreter. A ready engine comes back pinned
-// against eviction; unpin must be called once the run completes (nil when
-// not ready).
-func (s *Server) engineFast(m *modelEntry, sig, key string, sp *obs.Span) (eng Engine, hit, ready bool, unpin func()) {
-	lsp := sp.Child("cache-lookup", obs.A("signature", sig), obs.A("async", "true"))
-	defer lsp.End()
-	if v, ok := s.cache.AcquirePeek(key); ok {
-		lsp.SetAttr("hit", "true")
-		return v.(Engine), true, true, func() { s.cache.Unpin(key) }
-	}
-	lsp.SetAttr("hit", "false")
-	if eng := s.loadPersisted(m, key, lsp); eng != nil {
-		// First binding wins: a racing loader's engine may hold the slot,
-		// so run whichever engine the cache hands back.
-		v := s.cache.AcquirePut(key, eng)
-		return v.(Engine), false, true, func() { s.cache.Unpin(key) }
-	}
-	return nil, false, false, nil
-}
-
-// compileAsync launches (at most one per key) a background build of an
-// engine: persistent-cache load or full compilation under the in-memory
-// singleflight, bounded by the compile-worker semaphore, charged against
-// the memory governor for the constants the engine will hold resident,
-// and drained by Shutdown. Failures feed the signature's circuit breaker
-// exactly like request-path compile failures, so a signature that cannot
-// compile quarantines instead of re-compiling on every request.
-func (s *Server) compileAsync(m *modelEntry, sig, key string) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if _, dup := s.compiling[key]; dup {
-		s.mu.Unlock()
-		return
-	}
-	s.compiling[key] = struct{}{}
-	s.compileWG.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.compileWG.Done()
-		defer func() {
-			s.mu.Lock()
-			delete(s.compiling, key)
-			s.mu.Unlock()
-		}()
-		select {
-		case s.compileSem <- struct{}{}:
-		case <-s.forceCtx.Done():
-			return
-		}
-		defer func() { <-s.compileSem }()
-		s.stats.compileInflight(1)
-		defer s.stats.compileInflight(-1)
-		var sp *obs.Span
-		if s.cfg.Observer != nil {
-			sp = s.cfg.Observer.StartSpan("compile-async",
-				obs.A("model", m.name), obs.A("signature", sig))
-			defer sp.End()
-		}
-		// Reserve the engine's resident constant bytes against the memory
-		// governor while compiling, so a storm of first-seen signatures
-		// cannot blow the budget; released once the engine is cached (its
-		// runs reserve their own footprints).
-		g := m.build()
-		if s.gov != nil && g != nil {
-			if est := graphConstBytes(g); est > 0 {
-				release, err := s.gov.Reserve(s.forceCtx, est)
-				if err != nil {
-					// Budget pressure: drop this attempt; the next request
-					// for the signature re-kicks the compile.
-					sp.SetAttr("error", err.Error())
-					return
-				}
-				defer release()
-			}
-		}
-		_, _, err := s.cache.AcquireOrCompile(key, func() (any, error) {
-			return s.buildEngine(m, sig, key, g, sp)
-		})
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			if br := s.breakerFor(key); br.failure(time.Now()) {
-				s.stats.breakerOpened()
-			}
-			return
-		}
-		s.cache.Unpin(key) // nothing runs here: the pin only covered the insert
-	}()
-}
-
-// graphConstBytes sums the constant payload bytes of a graph — the
-// compile-time memory estimate charged to the governor by compileAsync.
-func graphConstBytes(g *graph.Graph) int64 {
-	var n int64
-	for _, nd := range g.Nodes() {
-		if nd.Lit != nil {
-			n += int64(nd.Lit.Bytes())
-		}
-	}
-	return n
-}
-
 // Warm compiles a model's engine eagerly (outside admission control), so
 // the first real request finds a hot cache.
 func (s *Server) Warm(model string) error {
@@ -736,7 +592,6 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 		outcome.Err = retErr
 		if resp != nil {
 			outcome.Fallback = resp.Fallback
-			outcome.Compiling = resp.Compiling
 		}
 		s.emitOutcome(outcome)
 	}()
@@ -827,7 +682,7 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 		s.stats.failed()
 		return nil, err
 	}
-	key := m.name + "@" + sig
+	key := cacheKey(m.name, sig)
 	br := s.breakerFor(key)
 	if !br.allow(time.Now()) {
 		s.stats.breakerShorted()
@@ -850,28 +705,7 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 				return nil, err
 			}
 		}
-		var eng Engine
-		var hit bool
-		var unpin func()
-		var err error
-		if s.cfg.AsyncCompile && !s.cfg.DisableFallback {
-			var ready bool
-			eng, hit, ready, unpin = s.engineFast(m, sig, key, sp)
-			if !ready {
-				// First-seen signature: kick the background build and
-				// answer now through the interpreter — the request never
-				// stalls behind the compiler.
-				s.compileAsync(m, sig, key)
-				s.stats.cacheMiss()
-				resp, ferr := s.fallback(ctx, sp, m, req, sig, queueNs, retries, nil)
-				if resp != nil {
-					resp.Compiling = true
-				}
-				return s.finish(resp, ferr)
-			}
-		} else {
-			eng, _, hit, unpin, err = s.engine(m, sp)
-		}
+		eng, _, hit, unpin, err := s.engine(m, sp)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, discerr.ErrTransient) && attempt < s.cfg.MaxRetries && ctx.Err() == nil {
@@ -1115,10 +949,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		// Background compiles are drained too: a build must not race the
-		// process teardown (a half-written cache entry is recoverable, but
-		// there is no reason to create one on a clean shutdown).
-		s.compileWG.Wait()
 		close(done)
 	}()
 	select {

@@ -137,7 +137,6 @@ type collector struct {
 	cWatchdog                                            *obs.Counter
 	cBatchOK, cBatchSolo, cBatchErr, cBatchedReqs        *obs.Counter
 	cCompilations                                        *obs.Counter
-	gCompileInflight                                     *obs.Gauge
 	hLatency, hBatchSize, hBatchLinger                   *obs.Histogram
 
 	mu                     sync.Mutex
@@ -155,35 +154,34 @@ func newCollector(reg *obs.Registry) *collector {
 		reg = obs.NewRegistry()
 	}
 	c := &collector{
-		reg:              reg,
-		cRequests:        reg.Counter("godisc_requests_total"),
-		cCompleted:       reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "completed")),
-		cRejected:        reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "rejected")),
-		cCanceled:        reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "canceled")),
-		cFailed:          reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "failed")),
-		cHits:            reg.Counter("godisc_cache_lookups_total", obs.L("result", "hit")),
-		cMisses:          reg.Counter("godisc_cache_lookups_total", obs.L("result", "miss")),
-		cFallback:        reg.Counter("godisc_fallback_total"),
-		cRetries:         reg.Counter("godisc_retries_total"),
-		cPanics:          reg.Counter("godisc_kernel_panics_total"),
-		cBreakerOpens:    reg.Counter("godisc_breaker_transitions_total", obs.L("to", "open")),
-		cBreakerShorted:  reg.Counter("godisc_breaker_short_circuits_total"),
-		cShed:            reg.Counter("godisc_admission_rejects_total", obs.L("reason", "shed")),
-		cQueueFull:       reg.Counter("godisc_admission_rejects_total", obs.L("reason", "queue-full")),
-		cInfeasible:      reg.Counter("godisc_admission_rejects_total", obs.L("reason", "deadline-infeasible")),
-		cQuota:           reg.Counter("godisc_admission_rejects_total", obs.L("reason", "quota")),
-		cMemory:          reg.Counter("godisc_admission_rejects_total", obs.L("reason", "memory-budget")),
-		cWatchdog:        reg.Counter("godisc_watchdog_cancels_total"),
-		cBatchOK:         reg.Counter("godisc_batches_total", obs.L("outcome", "ok")),
-		cBatchSolo:       reg.Counter("godisc_batches_total", obs.L("outcome", "solo")),
-		cBatchErr:        reg.Counter("godisc_batches_total", obs.L("outcome", "error")),
-		cBatchedReqs:     reg.Counter("godisc_batched_requests_total"),
-		cCompilations:    reg.Counter("godisc_compilations_total"),
-		gCompileInflight: reg.Gauge("godisc_compile_inflight"),
-		hLatency:         reg.Histogram("godisc_latency_sim_ns", obs.LatencyNsBuckets()),
-		hBatchSize:       reg.Histogram("godisc_batch_size", obs.ExpBuckets(1, 2, 10)),
-		hBatchLinger:     reg.Histogram("godisc_batch_linger_ns", obs.LatencyNsBuckets()),
-		samples:          make([]float64, 0, 256),
+		reg:             reg,
+		cRequests:       reg.Counter("godisc_requests_total"),
+		cCompleted:      reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "completed")),
+		cRejected:       reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "rejected")),
+		cCanceled:       reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "canceled")),
+		cFailed:         reg.Counter("godisc_requests_outcome_total", obs.L("outcome", "failed")),
+		cHits:           reg.Counter("godisc_cache_lookups_total", obs.L("result", "hit")),
+		cMisses:         reg.Counter("godisc_cache_lookups_total", obs.L("result", "miss")),
+		cFallback:       reg.Counter("godisc_fallback_total"),
+		cRetries:        reg.Counter("godisc_retries_total"),
+		cPanics:         reg.Counter("godisc_kernel_panics_total"),
+		cBreakerOpens:   reg.Counter("godisc_breaker_transitions_total", obs.L("to", "open")),
+		cBreakerShorted: reg.Counter("godisc_breaker_short_circuits_total"),
+		cShed:           reg.Counter("godisc_admission_rejects_total", obs.L("reason", "shed")),
+		cQueueFull:      reg.Counter("godisc_admission_rejects_total", obs.L("reason", "queue-full")),
+		cInfeasible:     reg.Counter("godisc_admission_rejects_total", obs.L("reason", "deadline-infeasible")),
+		cQuota:          reg.Counter("godisc_admission_rejects_total", obs.L("reason", "quota")),
+		cMemory:         reg.Counter("godisc_admission_rejects_total", obs.L("reason", "memory-budget")),
+		cWatchdog:       reg.Counter("godisc_watchdog_cancels_total"),
+		cBatchOK:        reg.Counter("godisc_batches_total", obs.L("outcome", "ok")),
+		cBatchSolo:      reg.Counter("godisc_batches_total", obs.L("outcome", "solo")),
+		cBatchErr:       reg.Counter("godisc_batches_total", obs.L("outcome", "error")),
+		cBatchedReqs:    reg.Counter("godisc_batched_requests_total"),
+		cCompilations:   reg.Counter("godisc_compilations_total"),
+		hLatency:        reg.Histogram("godisc_latency_sim_ns", obs.LatencyNsBuckets()),
+		hBatchSize:      reg.Histogram("godisc_batch_size", obs.ExpBuckets(1, 2, 10)),
+		hBatchLinger:    reg.Histogram("godisc_batch_linger_ns", obs.LatencyNsBuckets()),
+		samples:         make([]float64, 0, 256),
 	}
 	reg.GaugeFunc("godisc_queue_depth", func() float64 {
 		c.mu.Lock()
@@ -206,10 +204,8 @@ func (c *collector) cacheHit()  { c.cHits.Inc() }
 func (c *collector) cacheMiss() { c.cMisses.Inc() }
 
 // compilation records one actual compiler invocation (not a persistent-
-// cache load); compileInflight tracks background builds for the
-// godisc_compile_inflight gauge.
-func (c *collector) compilation()              { c.cCompilations.Inc() }
-func (c *collector) compileInflight(d float64) { c.gCompileInflight.Add(d) }
+// cache load).
+func (c *collector) compilation() { c.cCompilations.Inc() }
 
 func (c *collector) retry()          { c.cRetries.Inc() }
 func (c *collector) kernelPanic()    { c.cPanics.Inc() }
