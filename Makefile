@@ -39,7 +39,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:80 internal/ral:81 internal/graph:82; do \
+	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:86 internal/ral:81 internal/graph:82 internal/codegen:57; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \

@@ -11,6 +11,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
@@ -177,6 +178,52 @@ type lowerer struct {
 	// row-loop form (outer row base + stride-1 inner offset) instead of
 	// Div/Mod decompositions of a flat index.
 	rowSplit *rowSplitInfo
+	// dup maps each group member that repeats an earlier member's
+	// computation to that member (see groupDuplicates).
+	dup map[*graph.Node]*graph.Node
+}
+
+// groupDuplicates maps every group member that repeats an earlier member's
+// computation — same kind, operands, shape and attributes, as the
+// DuplicateProducers clones that land in one group do — to that member, so
+// the computation is lowered once. The same f32 ops run either way, so
+// outputs are unchanged.
+func groupDuplicates(nodes []*graph.Node) map[*graph.Node]*graph.Node {
+	dup := map[*graph.Node]*graph.Node{}
+	for i, n := range nodes {
+		for _, prev := range nodes[:i] {
+			if dup[prev] == nil && sameComputation(dup, n, prev) {
+				dup[n] = prev
+				break
+			}
+		}
+	}
+	return dup
+}
+
+// sameComputation compares the fields that determine a scalar op's value,
+// with operands compared by their canonical members.
+func sameComputation(dup map[*graph.Node]*graph.Node, a, b *graph.Node) bool {
+	if a.Kind != b.Kind || a.DType != b.DType || a.CmpOp != b.CmpOp || a.To != b.To ||
+		a.Reduce.Kind != b.Reduce.Kind || a.Reduce.KeepDims != b.Reduce.KeepDims ||
+		!slices.Equal(a.Reduce.Axes, b.Reduce.Axes) || !slices.Equal(a.Shape, b.Shape) ||
+		len(a.Inputs) != len(b.Inputs) {
+		return false
+	}
+	for i := range a.Inputs {
+		if canonical(dup, a.Inputs[i]) != canonical(dup, b.Inputs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// canonical returns the member that computes n's value.
+func canonical(dup map[*graph.Node]*graph.Node, n *graph.Node) *graph.Node {
+	if c, ok := dup[n]; ok {
+		return c
+	}
+	return n
 }
 
 // Lower compiles one fusion group into a Kernel.
@@ -187,6 +234,7 @@ func Lower(ctx *symshape.Context, grp *fusion.Group, opts Options) (*Kernel, err
 		opts:     opts,
 		bufIndex: map[*graph.Node]int{},
 		dimSeen:  map[symshape.DimID]bool{},
+		dup:      groupDuplicates(grp.Nodes),
 	}
 	for _, in := range grp.Inputs {
 		lw.bufIndex[in] = lw.nBufs

@@ -152,8 +152,9 @@ type rowSplitInfo struct {
 
 // classifyRowSplit decides whether the group's flat loop can restructure
 // into nested row loops: every out-of-group operand must index the domain
-// identically, be a constant (all-ones shape), or address a pure domain
-// suffix; every output must be identity-indexed (so rows stay disjoint).
+// identically, be a constant (all-ones shape), or address a domain suffix
+// (see suffixLen); every output must be identity-indexed (so rows stay
+// disjoint).
 func (lw *lowerer) classifyRowSplit() (rowSplitInfo, bool) {
 	grp := lw.g
 	if len(grp.Domain) < 2 {
@@ -173,11 +174,11 @@ func (lw *lowerer) classifyRowSplit() (rowSplitInfo, bool) {
 			if lw.ctx.ShapeEqual(s, grp.Domain) || lw.ctx.ProductEqual(s, grp.Domain) {
 				continue
 			}
-			sl, ok := lw.suffixBroadcast(s, grp.Domain)
-			if !ok || sl >= len(grp.Domain) {
+			sl, ok := lw.suffixLen(op, n)
+			if !ok {
 				return rowSplitInfo{}, false
 			}
-			if sl > 0 {
+			if sl > 0 && sl < len(grp.Domain) {
 				suffixes[sl] = true
 			}
 		}
@@ -226,22 +227,55 @@ func (lw *lowerer) suffixBroadcast(s, domain symshape.Shape) (int, bool) {
 	return len(s) - k0, true
 }
 
-// rowSplitIndex resolves an operand index inside a row-split body: the
-// outer row base plus the stride-1 inner offset, with suffix-broadcast
-// operands addressed from their (possibly hoisted) suffix bases. Every base
-// is inner-loop-invariant, which is what lets the superinstruction matcher
-// absorb the sweep.
-func (lw *lowerer) rowSplitIndex(s symshape.Shape) (kir.IntExpr, error) {
+// suffixLen reports the length sl of the domain suffix that operand op of
+// consumer addresses: op's flat index at domain point flat is
+// flat % numel(domain[len-sl:]). That holds when op broadcasts over leading
+// domain axes (suffixBroadcast), and also when it broadcasts over leading
+// axes of a consumer whose flat index coincides with the domain's and the
+// addressed consumer suffix has the element count of a domain suffix — the
+// QKV bias [H] added before a [.., H] -> [.., nh, hd] reshape addresses the
+// domain's last two axes.
+func (lw *lowerer) suffixLen(op, consumer *graph.Node) (int, bool) {
 	domain := lw.g.Domain
+	if sl, ok := lw.suffixBroadcast(op.Shape, domain); ok {
+		return sl, true
+	}
+	if consumer == nil ||
+		!(lw.ctx.ShapeEqual(consumer.Shape, domain) || lw.ctx.ProductEqual(consumer.Shape, domain)) {
+		return 0, false
+	}
+	t, ok := lw.suffixBroadcast(op.Shape, consumer.Shape)
+	if !ok {
+		return 0, false
+	}
+	addressed := consumer.Shape[len(consumer.Shape)-t:]
+	for sl := 0; sl <= len(domain); sl++ {
+		if lw.ctx.ProductEqual(addressed, domain[len(domain)-sl:]) {
+			return sl, true
+		}
+	}
+	return 0, false
+}
+
+// rowSplitIndex resolves the index of operand op of consumer (nil for a
+// group output) inside a row-split body: the outer row base plus the
+// stride-1 inner offset, with suffix-broadcast operands addressed from
+// their (possibly hoisted) suffix bases. Every base is inner-loop-invariant,
+// which is what lets the bytecode compiler run the sweep as row ops.
+func (lw *lowerer) rowSplitIndex(op, consumer *graph.Node) (kir.IntExpr, error) {
+	domain := lw.g.Domain
+	s := op.Shape
 	if lw.ctx.ShapeEqual(s, domain) || lw.ctx.ProductEqual(s, domain) {
 		return kir.Add(kir.IVar("rb"), kir.IVar("rj")), nil
 	}
-	sl, ok := lw.suffixBroadcast(s, domain)
+	sl, ok := lw.suffixLen(op, consumer)
 	if !ok {
 		return nil, fmt.Errorf("codegen: operand shape %s not row-splittable against domain %s",
 			lw.ctx.String(s), lw.ctx.String(domain))
 	}
 	switch {
+	case sl == len(domain):
+		return kir.Add(kir.IVar("rb"), kir.IVar("rj")), nil
 	case sl == 0:
 		return kir.IConst(0), nil
 	case sl == lw.rowSplit.inner:
@@ -322,7 +356,7 @@ func (lw *lowerer) loopBody(flatVar string) ([]kir.Stmt, int, error) {
 	valueFor := func(consumer *graph.Node) func(op *graph.Node) kir.Expr {
 		return func(op *graph.Node) kir.Expr {
 			if inGroup[op] {
-				return kir.FLocal(local(op))
+				return kir.FLocal(local(canonical(lw.dup, op)))
 			}
 			buf, ok := lw.bufIndex[op]
 			if !ok {
@@ -332,7 +366,7 @@ func (lw *lowerer) loopBody(flatVar string) ([]kir.Stmt, int, error) {
 			var idx kir.IntExpr
 			var err error
 			if lw.rowSplit != nil {
-				idx, err = lw.rowSplitIndex(op.Shape)
+				idx, err = lw.rowSplitIndex(op, consumer)
 			} else {
 				idx, err = lw.operandIndexForUse(flatVar, op.Shape, consumer.Shape, grp.Domain)
 			}
@@ -347,6 +381,12 @@ func (lw *lowerer) loopBody(flatVar string) ([]kir.Stmt, int, error) {
 		if n.Kind == graph.OpConstant {
 			return nil, 0, fmt.Errorf("codegen: constants must be group inputs")
 		}
+		// The device model charges every member; the VM computes a
+		// duplicate once.
+		flops += n.Kind.FlopsPerElement()
+		if lw.dup[n] != nil {
+			continue
+		}
 		e, err := nodeValueExpr(n, valueFor(n))
 		if err != nil {
 			return nil, 0, err
@@ -355,20 +395,19 @@ func (lw *lowerer) loopBody(flatVar string) ([]kir.Stmt, int, error) {
 			return nil, 0, valErr
 		}
 		stmts = append(stmts, kir.SSet{Var: local(n), Val: e})
-		flops += n.Kind.FlopsPerElement()
 	}
 	for _, out := range grp.Outputs {
 		var idx kir.IntExpr
 		var err error
 		if lw.rowSplit != nil {
-			idx, err = lw.rowSplitIndex(out.Shape)
+			idx, err = lw.rowSplitIndex(out, nil)
 		} else {
 			idx, err = lw.operandIndex(flatVar, out.Shape, grp.Domain)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		stmts = append(stmts, kir.SStore{Buf: lw.bufIndex[out], Idx: idx, Val: kir.FLocal(local(out))})
+		stmts = append(stmts, kir.SStore{Buf: lw.bufIndex[out], Idx: idx, Val: kir.FLocal(local(canonical(lw.dup, out)))})
 	}
 	return stmts, flops, nil
 }

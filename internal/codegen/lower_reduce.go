@@ -154,12 +154,17 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 	jVar := func(p int) string { return fmt.Sprintf("j%d", p) }
 	flatVar := func(p int) string { return fmt.Sprintf("flat%d", p) }
 
+	// rowBases collects the domain-suffix lengths whose per-row element
+	// base (rowBaseVar) the sweeps read; each is computed once per row.
+	rowBases := map[int]bool{}
+
 	// valueOf for per-point evaluation in pass p at loop vars (r, j, flat),
 	// in the context of a consumer node (for operand index resolution).
 	var valErr error
 	pointValue := func(p int, consumer *graph.Node) func(op *graph.Node) kir.Expr {
 		return func(op *graph.Node) kir.Expr {
 			if inGroup[op] {
+				op = canonical(lw.dup, op)
 				switch plan.class[op] {
 				case classPoint:
 					if plan.pass[op] == p {
@@ -180,7 +185,7 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 				valErr = fmt.Errorf("codegen: operand %%%d not a group input", op.ID)
 				return kir.FConst(0)
 			}
-			idx, err := lw.rowOperandIndex(op, consumer, flatVar(p))
+			idx, err := lw.rowOperandIndex(op, consumer, flatVar(p), jVar(p), rowBases)
 			if err != nil {
 				valErr = err
 				return kir.FConst(0)
@@ -191,7 +196,7 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 	// valueOf for per-row scalar evaluation (between passes).
 	scalarValue := func(op *graph.Node) kir.Expr {
 		if inGroup[op] {
-			return kir.FLocal(local(op))
+			return kir.FLocal(local(canonical(lw.dup, op)))
 		}
 		buf, ok := lw.bufIndex[op]
 		if !ok {
@@ -212,17 +217,20 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 		// Boundary scalars available before this pass.
 		for _, n := range grp.Nodes {
 			if plan.class[n] == classScalar && plan.bound[n] == p {
+				flops += n.Kind.FlopsPerElement()
+				if lw.dup[n] != nil {
+					continue
+				}
 				e, err := nodeValueExpr(n, scalarValue)
 				if err != nil {
 					return nil, 0, err
 				}
 				rowBody = append(rowBody, kir.SSet{Var: local(n), Val: e})
-				flops += n.Kind.FlopsPerElement()
 			}
 		}
 		// Reduce accumulators of this pass.
 		for _, n := range grp.Nodes {
-			if plan.class[n] == classReduce && plan.pass[n] == p {
+			if plan.class[n] == classReduce && plan.pass[n] == p && lw.dup[n] == nil {
 				_, id := reduceCombine(n.Reduce.Kind)
 				rowBody = append(rowBody, kir.SSet{Var: "acc" + local(n), Val: kir.FConst(id)})
 			}
@@ -240,12 +248,14 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 				if plan.pass[n] != p {
 					continue
 				}
-				e, err := nodeValueExpr(n, vo)
-				if err != nil {
-					return nil, 0, err
-				}
-				sweep = append(sweep, kir.SSet{Var: local(n), Val: e})
 				flops += n.Kind.FlopsPerElement()
+				if lw.dup[n] == nil {
+					e, err := nodeValueExpr(n, vo)
+					if err != nil {
+						return nil, 0, err
+					}
+					sweep = append(sweep, kir.SSet{Var: local(n), Val: e})
+				}
 				if slot, ok := plan.staged[n]; ok {
 					sweep = append(sweep, kir.SStore{Buf: lw.nBufs + slot, Idx: kir.IVar(jVar(p)), Val: kir.FLocal(local(n))})
 				}
@@ -254,10 +264,14 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 					if err != nil {
 						return nil, 0, err
 					}
-					sweep = append(sweep, kir.SStore{Buf: buf, Idx: idx, Val: kir.FLocal(local(n))})
+					sweep = append(sweep, kir.SStore{Buf: buf, Idx: idx, Val: kir.FLocal(local(canonical(lw.dup, n)))})
 				}
 			case classReduce:
 				if plan.pass[n] != p {
+					continue
+				}
+				flops++
+				if lw.dup[n] != nil {
 					continue
 				}
 				combine, _ := reduceCombine(n.Reduce.Kind)
@@ -265,13 +279,12 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 					Var: "acc" + local(n),
 					Val: kir.FBin{Fn: combine, A: kir.FLocal("acc" + local(n)), B: vo(n.Inputs[0])},
 				})
-				flops++
 			}
 		}
 		rowBody = append(rowBody, kir.SLoop{Var: jVar(p), Extent: lExpr, Body: sweep, Flags: kir.LoopStride1})
 		// Finalize reduces of this pass.
 		for _, n := range grp.Nodes {
-			if plan.class[n] == classReduce && plan.pass[n] == p {
+			if plan.class[n] == classReduce && plan.pass[n] == p && lw.dup[n] == nil {
 				val := kir.Expr(kir.FLocal("acc" + local(n)))
 				if n.Reduce.Kind == tensor.ReduceMean {
 					val = kir.FBin{Fn: "div", A: val, B: kir.FCastInt{X: lExpr}}
@@ -283,12 +296,15 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 	// Trailing scalars (bound == passes) and scalar/reduce output stores.
 	for _, n := range grp.Nodes {
 		if plan.class[n] == classScalar && plan.bound[n] == plan.passes {
+			flops += n.Kind.FlopsPerElement()
+			if lw.dup[n] != nil {
+				continue
+			}
 			e, err := nodeValueExpr(n, scalarValue)
 			if err != nil {
 				return nil, 0, err
 			}
 			rowBody = append(rowBody, kir.SSet{Var: local(n), Val: e})
-			flops += n.Kind.FlopsPerElement()
 		}
 	}
 	if valErr != nil {
@@ -298,14 +314,21 @@ func (lw *lowerer) rowProgram(plan *rowPlan, nameSuffix string) (*kir.Kernel, in
 		if plan.class[out] == classPoint {
 			continue // stored inside its pass
 		}
-		rowBody = append(rowBody, kir.SStore{Buf: lw.bufIndex[out], Idx: kir.IVar("r"), Val: kir.FLocal(local(out))})
+		rowBody = append(rowBody, kir.SStore{Buf: lw.bufIndex[out], Idx: kir.IVar("r"), Val: kir.FLocal(local(canonical(lw.dup, out)))})
 	}
 
+	var bases []kir.Stmt
+	for sl := 2; sl < len(domain); sl++ {
+		if rowBases[sl] {
+			prod := lw.numelExpr(domain[len(domain)-sl : len(domain)-1])
+			bases = append(bases, kir.SSetInt{Var: rowBaseVar(sl), Val: kir.Mul(kir.Mod(kir.IVar("r"), prod), lExpr)})
+		}
+	}
 	prog := &kir.Kernel{
 		Name:       fmt.Sprintf("row_g%d%s", grp.ID, nameSuffix),
 		NumBuffers: lw.nBufs + len(plan.staged),
 		Body: []kir.Stmt{
-			kir.SLoop{Var: "r", Extent: rExpr, Body: rowBody},
+			kir.SLoop{Var: "r", Extent: rExpr, Body: append(bases, rowBody...)},
 		},
 	}
 	return prog, flops, nil
@@ -321,11 +344,17 @@ func (lw *lowerer) isGroupOutput(n *graph.Node) bool {
 	return false
 }
 
+// rowBaseVar names the per-row element base of a domain suffix of length sl.
+func rowBaseVar(sl int) string { return fmt.Sprintf("rb%d", sl) }
+
 // rowOperandIndex maps an external operand to its flat index at the current
 // (r, j, flat) point inside a row kernel, resolving against the consumer's
 // own shape when the operand does not relate to the domain directly.
-// flatVar names the current pass's flat-index local.
-func (lw *lowerer) rowOperandIndex(op, consumer *graph.Node, flatVar string) (kir.IntExpr, error) {
+// flatVar and jVar name the current pass's flat-index local and sweep
+// variable. A domain-suffix operand (gamma, beta, a bias row) is indexed
+// j, or its per-row base plus j (recorded in rowBases), rather than
+// flat % K, so the sweep stays affine in j.
+func (lw *lowerer) rowOperandIndex(op, consumer *graph.Node, flatVar, jVar string, rowBases map[int]bool) (kir.IntExpr, error) {
 	domain := lw.g.Domain
 	// Full row space or contiguous reindexing: use the flat index.
 	if lw.ctx.ShapeEqual(op.Shape, domain) || lw.ctx.ProductEqual(op.Shape, domain) {
@@ -334,6 +363,18 @@ func (lw *lowerer) rowOperandIndex(op, consumer *graph.Node, flatVar string) (ki
 	// Per-row values ([rows...] or [rows..., 1]): index by r.
 	if lw.isRowScalarShape(op) {
 		return kir.IVar("r"), nil
+	}
+	// flat = r*L + j with j < L, so flat % (P*L) = (r % P)*L + j.
+	if sl, ok := lw.suffixLen(op, consumer); ok {
+		switch {
+		case sl == 0:
+			return kir.IConst(0), nil
+		case sl == 1:
+			return kir.IVar(jVar), nil
+		case sl < len(domain):
+			rowBases[sl] = true
+			return kir.Add(kir.IVar(rowBaseVar(sl)), kir.IVar(jVar)), nil
+		}
 	}
 	// Broadcast into the full domain (bias rows, scalars).
 	if broadcastsInto(lw.ctx, op.Shape, domain) {
@@ -463,8 +504,13 @@ func (lw *lowerer) planRowPasses() (*rowPlan, error) {
 	}
 	plan.passes = maxPass + 1
 	// Staging: a per-point node read in a later pass must live in scratch.
+	// Duplicates are not lowered; their readers read the canonical member.
 	for _, n := range grp.Nodes {
+		if lw.dup[n] != nil {
+			continue
+		}
 		for _, op := range n.Inputs {
+			op = canonical(lw.dup, op)
 			if !inGroup[op] || plan.class[op] != classPoint {
 				continue
 			}

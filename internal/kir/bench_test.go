@@ -19,9 +19,8 @@ func benchRun(b *testing.B, k *Kernel, bufs [][]float32, dims []int, bytes int64
 }
 
 // BenchmarkKernelElementwise measures the per-element cost of a fused
-// elementwise loop — the substrate's headline number. The exp/relu body
-// deliberately defeats the superinstruction matcher's single-op rows, so
-// this is the generic dispatch loop, not a row op.
+// elementwise loop — the substrate's headline number. The loop carries no
+// LoopStride1 hint, so this is the generic dispatch loop, not row ops.
 func BenchmarkKernelElementwise(b *testing.B) {
 	k := &Kernel{
 		Name:       "fused",
@@ -82,6 +81,22 @@ func BenchmarkKernelRowReduce(b *testing.B) {
 	bufs := [][]float32{make([]float32, r*l), make([]float32, r*l)}
 	dims := []int{r, l}
 	benchRun(b, k, bufs, dims, r*l*4)
+}
+
+// BenchmarkKernelLayerNormStitch measures bert's stitched residual-add +
+// layernorm kernel (layerNormStitch, three sweeps per row) at [256,32]: the
+// multi-statement sweeps the split turns into row ops.
+func BenchmarkKernelLayerNormStitch(b *testing.B) {
+	const r, l = 256, 32
+	k := layerNormStitch()
+	bufs := make([][]float32, k.NumBuffers)
+	for i := range bufs {
+		bufs[i] = make([]float32, r*l)
+		for j := range bufs[i] {
+			bufs[i][j] = float32(j%13) * 0.25
+		}
+	}
+	benchRun(b, k, bufs, []int{r, l}, r*l*4)
 }
 
 // BenchmarkFinalize measures compilation latency (register allocation +

@@ -13,7 +13,7 @@ import (
 // functions are resolved to direct indices into ordered tables at compile
 // time; loops compile to an entry test plus a backward-jumping tail; and
 // contiguous loop bodies (hinted by codegen via LoopStride1, then verified
-// structurally here) collapse into single whole-row superinstructions.
+// structurally in sweep.go) compile to whole-row superinstructions.
 
 // opcode enumerates bytecode operations. Operand meanings are documented
 // per op; a..g are the fixed-width int32 operands of instr.
@@ -90,6 +90,9 @@ const (
 	// scalar on the left of the inner bin.
 	opRowFRedSR
 	opRowFRedSL
+	// opRowTmp makes row temporary b (buffer a, after the kernel's own)
+	// hold at least ints[e] elements, growing the frame-owned row.
+	opRowTmp
 )
 
 // instr is one fixed-width bytecode instruction.
@@ -105,6 +108,9 @@ type program struct {
 	code []instr
 	// supers counts emitted superinstructions (for tests and tracing).
 	supers int
+	// perElem holds, for each LoopStride1 loop compiled to per-element
+	// bytecode, the rule that kept it off the row path.
+	perElem []string
 }
 
 // Ordered function tables: FUn/FBin names resolve to direct indices at
@@ -167,9 +173,13 @@ type bcompiler struct {
 	defInt, defFlt map[string]bool
 	code           []instr
 	supers         int
+	perElem        []string
+	// nTmp is the number of row temporaries the sweeps need (the most any
+	// one sweep uses; sweeps never overlap).
+	nTmp int
 	// globalReads counts IVar/FLocal reads per prefixed name across the
-	// whole kernel; superinstruction substitution requires the consumed
-	// locals to have no reads outside the matched loop.
+	// whole kernel; a sweep compiled to row ops requires the locals it
+	// never materializes to have no reads outside the loop.
 	globalReads map[string]int
 	err         error
 }
@@ -206,9 +216,10 @@ func (cp *Compiled) finalizeBytecode(dimSlot map[string]int) error {
 	if c.err != nil {
 		return c.err
 	}
-	cp.prog = &program{code: c.code, supers: c.supers}
+	cp.prog = &program{code: c.code, supers: c.supers, perElem: c.perElem}
 	cp.nInts = int(c.nInt)
 	cp.nFloats = int(c.nFlt)
+	cp.nTmps = c.nTmp
 	return nil
 }
 
@@ -325,14 +336,18 @@ func (c *bcompiler) compileStmt(s Stmt) {
 	}
 }
 
-// compileLoop emits a generic counted loop, or a superinstruction when the
-// body matches a whole-row pattern. The loop variable register ends at
+// compileLoop emits a LoopStride1 loop as row ops when its body allows
+// (sweep.go), and anything else as a generic counted loop. The loop variable register ends at
 // extent-1 after a non-empty loop, matching the interpreter (which assigns
 // the variable at the top of each iteration and never increments past the
 // last).
 func (c *bcompiler) compileLoop(s SLoop) {
-	if c.trySuper(s) {
-		return
+	if s.Flags&LoopStride1 != 0 {
+		why, ok := c.trySweep(s)
+		if ok {
+			return
+		}
+		c.perElem = append(c.perElem, why)
 	}
 	ext := c.tempInt()
 	c.emitInt(s.Extent, ext) // extent compiles before the var is defined

@@ -25,12 +25,17 @@ var (
 )
 
 // Frame is the runtime activation record of a compiled kernel: ints/floats
-// are the VM's flat register file.
+// are the VM's flat register file. tmps are the row temporaries of split
+// sweeps; they persist across pooled uses and grow on demand (opRowTmp).
+// When a kernel has temporaries, bufs is all: the caller's buffers followed
+// by the temporaries, so row ops address both by buffer index.
 type Frame struct {
 	ints   []int
 	floats []float32
 	bufs   [][]float32
 	dims   []int
+	tmps   [][]float32
+	all    [][]float32
 }
 
 // Compiled is a kernel after compilation ("machine code"). It is immutable
@@ -41,6 +46,7 @@ type Compiled struct {
 	kernel  *Kernel
 	nInts   int
 	nFloats int
+	nTmps   int
 	frames  sync.Pool
 
 	// prog is the flat bytecode program (vm.go executes it).
@@ -93,7 +99,12 @@ func (cp *Compiled) getFrame(bufs [][]float32, dims []int) *Frame {
 		f = &Frame{
 			ints:   make([]int, cp.nInts),
 			floats: make([]float32, cp.nFloats),
+			tmps:   make([][]float32, cp.nTmps),
 		}
+	}
+	if len(f.tmps) > 0 {
+		f.all = append(append(f.all[:0], bufs...), f.tmps...)
+		bufs = f.all
 	}
 	f.bufs = bufs
 	f.dims = dims
@@ -104,6 +115,7 @@ func (cp *Compiled) getFrame(bufs [][]float32, dims []int) *Frame {
 // frame never pins caller memory — including when the kernel panicked and
 // the put runs from a defer.
 func (cp *Compiled) putFrame(f *Frame) {
+	clear(f.all)
 	f.bufs = nil
 	f.dims = nil
 	cp.frames.Put(f)
@@ -137,3 +149,8 @@ func (cp *Compiled) DimNames() []string { return cp.kernel.DimNames }
 // Superinstructions reports how many whole-row superinstructions the
 // bytecode compiler emitted — exposed for tests and tracing.
 func (cp *Compiled) Superinstructions() int { return cp.prog.supers }
+
+// PerElementSweeps lists, for every LoopStride1 loop the bytecode compiler
+// left as per-element code, the rule that rejected its row form. An empty
+// list means every contiguous sweep of the kernel runs as row ops.
+func (cp *Compiled) PerElementSweeps() []string { return cp.prog.perElem }

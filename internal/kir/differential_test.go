@@ -23,6 +23,14 @@ type progGen struct {
 	fltVars []string // defined f32 locals
 	nextVar int
 	depth   int
+	// readAfter names a local a row body reassigned; the enclosing loop
+	// is followed by a store reading it (pending), so a sweep split that
+	// dropped the assignment would diverge.
+	readAfter string
+	pending   []Stmt
+	// affineOnly makes every row-body index affine (no mod-wrapped ones),
+	// so multi-statement bodies reach the sweep split's later rules.
+	affineOnly bool
 }
 
 var genUnary = []string{"neg", "abs", "exp", "log", "sqrt", "rsqrt", "tanh", "erf", "sigmoid", "relu", "gelu", "id"}
@@ -146,53 +154,88 @@ func (g *progGen) stmts(n int) []Stmt {
 	var out []Stmt
 	for i := 0; i < n; i++ {
 		out = append(out, g.stmt())
+		out = append(out, g.pending...)
+		g.pending = nil
 	}
 	return out
 }
 
+// genSweep builds a kernel around one stride-1 loop with a generated row
+// body (two outer locals in scope as accumulators), so every seed exercises
+// sweep compilation to row ops and its rejections.
+func genSweep(seed int64) *Kernel {
+	r := rand.New(rand.NewSource(seed))
+	g := &progGen{r: r, affineOnly: r.Intn(4) != 0}
+	g.k = &Kernel{
+		Name:       fmt.Sprintf("sweep_%d", seed),
+		NumBuffers: 2 + r.Intn(3),
+		DimNames:   []string{"d0", "d1"}[:1+r.Intn(2)],
+	}
+	for i := 0; i < 2; i++ {
+		v := g.fresh("f")
+		g.k.Body = append(g.k.Body, SSet{Var: v, Val: FConst(float32(r.Intn(5)))})
+		g.fltVars = append(g.fltVars, v)
+	}
+	g.k.Body = append(g.k.Body, g.loop(true))
+	g.k.Body = append(g.k.Body, g.pending...)
+	return g.k
+}
+
 func (g *progGen) stmt() Stmt {
 	if g.depth < 2 && g.r.Intn(4) == 0 {
-		// A nested loop; randomly flagged stride-1 to exercise both the
-		// superinstruction matcher and its structural rejection (a wrong
-		// hint must never change results).
-		g.depth++
-		v := g.fresh("i")
-		var flags LoopFlags
-		if g.r.Intn(2) == 0 {
-			flags = LoopStride1
-		}
-		// The extent generates before the loop variable enters scope: an
-		// extent referencing its own variable is a use-before-definition
-		// that Finalize rejects.
-		extent := g.loopExtent()
-		ni, nf := len(g.intVars), len(g.fltVars)
-		g.intVars = append(g.intVars, v)
-		var body []Stmt
-		if g.r.Intn(2) == 0 {
-			var maxBase, div int
-			body, maxBase, div = g.rowBody(v)
-			// Affine row indices are base+v with base <= maxBase, so the
-			// sweep length is clamped to total-maxBase to stay in bounds
-			// (a negative clamp just skips the loop). Strided gather rows
-			// additionally divide by their stride so base+v*stride stays
-			// in bounds too.
-			clamp := IntExpr(IBin{Op: ISub, A: g.total(), B: IConst(maxBase)})
-			if div > 1 {
-				clamp = IBin{Op: IDiv, A: clamp, B: IConst(div)}
-			}
-			extent = Min(extent, clamp)
-		} else {
-			body = g.stmts(1 + g.r.Intn(3))
-		}
-		// Locals defined inside the body go out of scope with the loop: a
-		// later read would be undominated when the loop runs zero times
-		// (the interpreter faults on it while compiled code reads a stale
-		// register).
-		g.intVars = g.intVars[:ni]
-		g.fltVars = g.fltVars[:nf]
-		g.depth--
-		return SLoop{Var: v, Extent: extent, Body: body, Flags: flags}
+		return g.loop(false)
 	}
+	return g.simpleStmt()
+}
+
+// loop generates a nested loop; randomly flagged stride-1 to exercise both
+// sweep compilation and its structural rejection (a wrong hint
+// must never change results). rowSweep forces a flagged row body.
+func (g *progGen) loop(rowSweep bool) Stmt {
+	g.depth++
+	v := g.fresh("i")
+	var flags LoopFlags
+	if rowSweep || g.r.Intn(2) == 0 {
+		flags = LoopStride1
+	}
+	// The extent generates before the loop variable enters scope: an
+	// extent referencing its own variable is a use-before-definition
+	// that Finalize rejects.
+	extent := g.loopExtent()
+	ni, nf := len(g.intVars), len(g.fltVars)
+	g.intVars = append(g.intVars, v)
+	var body []Stmt
+	if rowSweep || g.r.Intn(2) == 0 {
+		var maxBase, div int
+		body, maxBase, div = g.rowBody(v)
+		// Affine row indices are base+v with base <= maxBase, so the
+		// sweep length is clamped to total-maxBase to stay in bounds
+		// (a negative clamp just skips the loop). Strided gather rows
+		// additionally divide by their stride so base+v*stride stays
+		// in bounds too.
+		clamp := IntExpr(IBin{Op: ISub, A: g.total(), B: IConst(maxBase)})
+		if div > 1 {
+			clamp = IBin{Op: IDiv, A: clamp, B: IConst(div)}
+		}
+		extent = Min(extent, clamp)
+	} else {
+		body = g.stmts(1 + g.r.Intn(3))
+	}
+	// Locals defined inside the body go out of scope with the loop: a
+	// later read would be undominated when the loop runs zero times
+	// (the interpreter faults on it while compiled code reads a stale
+	// register).
+	g.intVars = g.intVars[:ni]
+	g.fltVars = g.fltVars[:nf]
+	g.depth--
+	if g.readAfter != "" {
+		g.pending = append(g.pending, SStore{Buf: g.r.Intn(g.k.NumBuffers), Idx: g.index(), Val: FLocal(g.readAfter)})
+		g.readAfter = ""
+	}
+	return SLoop{Var: v, Extent: extent, Body: body, Flags: flags}
+}
+
+func (g *progGen) simpleStmt() Stmt {
 	switch g.r.Intn(4) {
 	case 0:
 		v := g.fresh("x")
@@ -228,27 +271,31 @@ func (g *progGen) loopExtent() IntExpr {
 // dispatch loop. Returned maxBase bounds every affine base constant; the
 // caller clamps the loop extent to total-maxBase so affine indices stay in
 // bounds. Mod-wrapped index variants are emitted too — those are non-affine
-// on purpose, so the matcher must fall back to generic code, never
-// mis-compile.
+// on purpose, so the sweep compiler must fall back to generic code, never
+// mis-compile. Multi-statement bodies (cases 11-14) exercise sweep
+// splitting and each of its rejection rules.
 func (g *progGen) rowBody(v string) ([]Stmt, int, int) {
 	nb := g.k.NumBuffers
-	dst, x, y := g.r.Intn(nb), g.r.Intn(nb), g.r.Intn(nb)
+	dst, dst2, x, y := g.r.Intn(nb), g.r.Intn(nb), g.r.Intn(nb), g.r.Intn(nb)
 	maxBase, div := 0, 1
+	affine := func(c int) IntExpr {
+		if c > maxBase {
+			maxBase = c
+		}
+		return Add(IConst(c), IVar(v))
+	}
 	idx := func() IntExpr {
-		if g.r.Intn(2) == 0 {
-			c := g.r.Intn(3)
-			if c > maxBase {
-				maxBase = c
-			}
-			return Add(IConst(c), IVar(v))
+		if g.affineOnly || g.r.Intn(2) == 0 {
+			return affine(g.r.Intn(3))
 		}
 		return IBin{Op: IMod, A: IBin{Op: IAdd, A: g.intExpr(1), B: IVar(v)}, B: g.total()}
 	}
 	un := genUnary[g.r.Intn(len(genUnary))]
 	bin := genBinary[g.r.Intn(len(genBinary))]
+	bin2 := genBinary[g.r.Intn(len(genBinary))]
 	load := func(b int) Expr { return FLoad{Buf: b, Idx: idx()} }
 	var body []Stmt
-	switch g.r.Intn(11) {
+	switch g.r.Intn(15) {
 	case 0: // copy
 		body = []Stmt{SStore{Buf: dst, Idx: idx(), Val: load(x)}}
 	case 1: // map1
@@ -276,7 +323,7 @@ func (g *progGen) rowBody(v string) ([]Stmt, int, int) {
 		body = []Stmt{SStore{Buf: dst, Idx: idx(),
 			Val: FUn{Fn: un, X: FBin{Fn: bin, A: load(x), B: load(y)}}}}
 	case 7: // fill from a constant or an invariant load (possibly aliasing
-		// dst — the matcher must reject that one, not mis-fuse it)
+		// dst — that one must stay a sequential gather, not a hoisted fill)
 		s := Expr(FConst(float32(g.r.NormFloat64())))
 		if g.r.Intn(2) == 0 {
 			s = FLoad{Buf: y, Idx: IConst(0)}
@@ -305,6 +352,39 @@ func (g *progGen) rowBody(v string) ([]Stmt, int, int) {
 		body = []Stmt{
 			SStore{Buf: dst, Idx: idx(), Val: val},
 			SSet{Var: acc, Val: FBin{Fn: bin, A: FLocal(acc), B: val}},
+		}
+	case 11: // two stores (possibly to one buffer)
+		body = []Stmt{
+			SStore{Buf: dst, Idx: idx(), Val: FUn{Fn: un, X: load(x)}},
+			SStore{Buf: dst2, Idx: idx(), Val: FBin{Fn: bin, A: load(x), B: load(y)}},
+		}
+	case 12: // a store plus a fold of a different expression
+		if len(g.fltVars) == 0 {
+			body = []Stmt{SStore{Buf: dst, Idx: idx(), Val: load(x)}}
+			break
+		}
+		acc := g.fltVars[g.r.Intn(len(g.fltVars))]
+		body = []Stmt{
+			SStore{Buf: dst, Idx: idx(), Val: FUn{Fn: un, X: load(x)}},
+			SSet{Var: acc, Val: FBin{Fn: bin, A: FLocal(acc), B: FBin{Fn: bin2, A: load(x), B: load(y)}}},
+		}
+	case 13: // a load of the stored buffer, at the stored index or one past it
+		c := g.r.Intn(3)
+		body = []Stmt{
+			SStore{Buf: dst, Idx: affine(c), Val: FUn{Fn: un, X: load(x)}},
+			SStore{Buf: dst2, Idx: idx(), Val: FBin{Fn: bin, A: FLoad{Buf: dst, Idx: affine(c + g.r.Intn(2))}, B: FConst(2)}},
+		}
+	case 14: // an outer local reassigned in the sweep and read after the loop
+		if len(g.fltVars) == 0 {
+			body = []Stmt{SStore{Buf: dst, Idx: idx(), Val: load(x)}}
+			break
+		}
+		lv := g.fltVars[g.r.Intn(len(g.fltVars))]
+		g.readAfter = lv
+		body = []Stmt{
+			SSet{Var: lv, Val: FUn{Fn: un, X: load(x)}},
+			SStore{Buf: dst, Idx: idx(), Val: FLocal(lv)},
+			SStore{Buf: dst2, Idx: idx(), Val: FBin{Fn: bin, A: FLocal(lv), B: load(y)}},
 		}
 	default: // reduce accumulate into an existing (initialized) accumulator
 		if len(g.fltVars) == 0 {
@@ -411,6 +491,35 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestDifferentialRandomSweeps checks generated single-sweep kernels, and
+// that the corpus reaches both split sweeps and each rejection rule the
+// generator can produce.
+func TestDifferentialRandomSweeps(t *testing.T) {
+	seen := map[string]int{}
+	for seed := int64(0); seed < 2000; seed++ {
+		k := genSweep(seed)
+		cp, err := k.Finalize()
+		if err != nil {
+			t.Fatalf("seed %d: generated program rejected: %v\nkernel:\n%s", seed, err, k)
+		}
+		if cp.nTmps > 0 {
+			seen["split with temporaries"]++
+		}
+		for _, why := range cp.PerElementSweeps() {
+			seen[why]++
+		}
+		if msg := checkDifferential(k, dimsForSeed(k, seed), seed); msg != "" {
+			t.Fatalf("seed %d: %s\nkernel:\n%s", seed, msg, k)
+		}
+	}
+	for _, want := range []string{"split with temporaries", "load and store of one buffer",
+		"buffer stored twice", "local read after the loop", "index not unit-stride affine"} {
+		if seen[want] == 0 {
+			t.Errorf("no generated sweep reached %q (seen %v)", want, seen)
+		}
+	}
+}
+
 // TestDifferentialHandWritten pins the shapes the lowering actually emits:
 // softmax-style sweeps, axpy rows, strided unrolled bodies, gather-style
 // indirect row copies (ILoad bases), and overlapping same-buffer copies
@@ -469,7 +578,7 @@ func TestDifferentialHandWritten(t *testing.T) {
 	}
 }
 
-// FuzzKIRProgram drives the same generator + differential oracle from the
+// FuzzKIRProgram drives the same generators + differential oracle from the
 // native fuzzer: any seed where the VM and the interpreter disagree is a
 // crasher.
 func FuzzKIRProgram(f *testing.F) {
@@ -477,12 +586,13 @@ func FuzzKIRProgram(f *testing.F) {
 		f.Add(s, uint8(3), uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, d0, d1 uint8) {
-		k := genProgram(seed)
-		dims := make([]int, len(k.DimNames))
-		sizes := []int{1 + int(d0)%12, 1 + int(d1)%12}
-		copy(dims, sizes[:len(dims)])
-		if msg := checkDifferential(k, dims, seed); msg != "" {
-			t.Fatalf("seed %d dims %v: %s\nkernel:\n%s", seed, dims, msg, k)
+		for _, k := range []*Kernel{genProgram(seed), genSweep(seed)} {
+			dims := make([]int, len(k.DimNames))
+			sizes := []int{1 + int(d0)%12, 1 + int(d1)%12}
+			copy(dims, sizes[:len(dims)])
+			if msg := checkDifferential(k, dims, seed); msg != "" {
+				t.Fatalf("seed %d dims %v: %s\nkernel:\n%s", seed, dims, msg, k)
+			}
 		}
 	})
 }

@@ -169,7 +169,7 @@ type Stmt interface {
 }
 
 // LoopFlags carries lowering hints attached to a loop. Hints never change
-// semantics: they gate *attempts* at bytecode superinstruction matching,
+// semantics: they gate *attempts* at compiling a loop to row ops,
 // and every match is still verified structurally, so a wrong flag can cost
 // speed but never correctness.
 type LoopFlags uint8
@@ -185,8 +185,8 @@ type SLoop struct {
 	Extent IntExpr
 	Body   []Stmt
 	// Flags are optional lowering hints (see LoopFlags). Zero is always
-	// safe; old serialized kernels decode with zero flags and simply skip
-	// superinstruction matching.
+	// safe; old serialized kernels decode with zero flags and simply run
+	// per-element code.
 	Flags LoopFlags
 }
 

@@ -69,6 +69,7 @@ var opNames = [...]string{
 	opRowZip2S: "row.zip2s", opRowReduce: "row.reduce",
 	opRowMapZip: "row.mapzip", opRowFill: "row.fill", opRowGathS: "row.gaths",
 	opRowFRedSR: "row.fredsr", opRowFRedSL: "row.fredsl",
+	opRowTmp: "row.tmp",
 }
 
 // Disassemble renders the compiled bytecode program, one instruction per
@@ -178,6 +179,8 @@ func formatInstr(in instr) string {
 	case opRowReduce:
 		return fmt.Sprintf("%-12s f%d = fold %s b%d[i%d:] n=i%d",
 			n, in.a, binaryNames[in.g], in.b, in.c, in.d)
+	case opRowTmp:
+		return fmt.Sprintf("%-12s b%d = t%d, len >= i%d", n, in.a, in.b, in.e)
 	}
 	return fmt.Sprintf("%-12s a=%d b=%d c=%d d=%d e=%d g=%d", n, in.a, in.b, in.c, in.d, in.e, in.g)
 }

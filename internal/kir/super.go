@@ -1,14 +1,10 @@
 package kir
 
-// Superinstruction matching: loops that walk buffers contiguously collapse
-// into single whole-row bytecode ops, so the dispatch loop runs once per
-// row instead of once per IR node per element. Matching is attempted only
-// on loops the lowering flagged LoopStride1, but every match is verified
-// structurally — after forward-substituting the loop body's local
-// definitions, the body must reduce to one of a fixed set of store/reduce
-// shapes whose indices are affine in the loop variable with unit (or
-// unrolled) stride and loop-invariant bases. A wrong hint therefore falls
-// back to generic bytecode; it can never change results.
+// Row ops: the whole-row bytecode vocabulary that contiguous sweeps compile
+// to (sweep.go plans them), so the dispatch loop runs once per row op
+// instead of once per IR node per element. This file holds the row-op
+// shapes, the classifier that maps one row expression onto one of them, the
+// emitter, and the affine index analysis both use.
 
 type rowKind uint8
 
@@ -30,7 +26,7 @@ const (
 // binNoneIdx marks "no binary op" in rkStoreRed's packed function field.
 const binNoneIdx = 0xff
 
-// rowMatch describes one recognized whole-row pattern.
+// rowMatch describes one row op.
 type rowMatch struct {
 	kind       rowKind
 	un         int // unary fn index (rkMap1, rkMapZipS)
@@ -42,270 +38,16 @@ type rowMatch struct {
 	xBase      IntExpr
 	yBase      IntExpr
 	xStride    IntExpr // rkGathS only: loop-invariant source element stride
-	scalar1    Expr    // FConst, loop-invariant FLocal, or loop-invariant FLoad
+	scalar1    Expr    // loop-invariant scalar expression (see rowCtx.scalar)
 	scalar2    Expr
 	accName    string // rkReduce / rkStoreRed only
-	unroll     int    // lanes per iteration (1 = plain; 4 = vec4 bodies)
-	// consumed lists the prefixed names absorbed by the match (substituted
-	// locals and the loop variable); each must have no reads outside the
-	// loop body, since the superinstruction never materializes them.
-	consumed []string
-	// bodyReads are the read counts within the original loop body, used
-	// with bcompiler.globalReads for the outside-the-loop liveness check.
-	bodyReads map[string]int
-}
-
-// trySuper matches and emits a superinstruction for the loop; it reports
-// whether the loop was fully absorbed.
-func (c *bcompiler) trySuper(s SLoop) bool {
-	if s.Flags&LoopStride1 == 0 {
-		return false
-	}
-	m, ok := c.matchRow(s)
-	if !ok {
-		return false
-	}
-	// Liveness: a superinstruction materializes neither the loop variable
-	// nor the substituted locals, so any read of them outside this loop
-	// body disqualifies the match.
-	for _, name := range m.consumed {
-		if c.globalReads[name] != m.bodyReads[name] {
-			return false
-		}
-	}
-	c.emitSuper(m, s)
-	return true
-}
-
-// matchRow recognizes the loop body as one of the row patterns.
-func (c *bcompiler) matchRow(s SLoop) (rowMatch, bool) {
-	assigned := map[string]bool{}
-	assignedIn(s.Body, assigned)
-	if m, ok := c.matchGroup(s.Body, s.Var, 1, 0, true, assigned); ok {
-		m.bodyReads = map[string]int{}
-		countReadsStmts(s.Body, m.bodyReads)
-		return m, true
-	}
-	if m, ok := c.matchUnrolled(s, assigned); ok {
-		m.bodyReads = map[string]int{}
-		countReadsStmts(s.Body, m.bodyReads)
-		return m, true
-	}
-	return rowMatch{}, false
-}
-
-// matchUnrolled recognizes a body that is k structurally identical unrolled
-// lanes — each [SSetInt v = base + var*k + u; ...] for u = 0..k-1 — and
-// rewrites it as a single row over k*extent contiguous elements. This is
-// the shape of codegen's vectorized elementwise variants.
-func (c *bcompiler) matchUnrolled(s SLoop, assigned map[string]bool) (rowMatch, bool) {
-	if len(s.Body) < 2 {
-		return rowMatch{}, false
-	}
-	first, ok := s.Body[0].(SSetInt)
-	if !ok {
-		return rowMatch{}, false
-	}
-	_, k, off, ok := splitAffine(first.Val, s.Var, assigned)
-	if !ok || k < 2 || off != 0 || len(s.Body)%k != 0 {
-		return rowMatch{}, false
-	}
-	groupLen := len(s.Body) / k
-	var m0 rowMatch
-	for u := 0; u < k; u++ {
-		group := s.Body[u*groupLen : (u+1)*groupLen]
-		mu, ok := c.matchGroup(group, s.Var, k, u, false, assigned)
-		if !ok || mu.kind == rkReduce || mu.kind == rkStoreRed {
-			// Folding accumulator kinds across lanes would reorder the
-			// reduction; only pure store rows de-unroll.
-			return rowMatch{}, false
-		}
-		if u == 0 {
-			m0 = mu
-			continue
-		}
-		if !sameRow(m0, mu) {
-			return rowMatch{}, false
-		}
-		m0.consumed = append(m0.consumed, mu.consumed...)
-	}
-	m0.unroll = k
-	return m0, true
-}
-
-// sameRow reports whether two lane matches describe the same row operation
-// (everything but lane offsets and consumed locals).
-func sameRow(a, b rowMatch) bool {
-	return a.kind == b.kind && a.un == b.un && a.bin == b.bin && a.bin2 == b.bin2 &&
-		a.scalarLeft == b.scalarLeft && a.dstBuf == b.dstBuf &&
-		a.xBuf == b.xBuf && a.yBuf == b.yBuf &&
-		a.dstBase == b.dstBase && a.xBase == b.xBase && a.yBase == b.yBase &&
-		a.xStride == b.xStride && a.scalar1 == b.scalar1 && a.scalar2 == b.scalar2
-}
-
-// matchGroup normalizes one lane (forward-substituting SSetInt/SSet
-// definitions) and classifies the remaining statement. stride/lane fix the
-// required affine shape of every index; foldOff folds constant offsets
-// into the base (plain stride-1 matching) instead of requiring off == lane.
-func (c *bcompiler) matchGroup(body []Stmt, v string, stride, lane int, foldOff bool, assigned map[string]bool) (rowMatch, bool) {
-	ienv := map[string]IntExpr{}
-	fenv := map[string]Expr{}
-	var rest []Stmt
-	consumed := []string{"i:" + v}
-	for _, st := range body {
-		switch st := st.(type) {
-		case SSetInt:
-			if _, dup := ienv[st.Var]; dup {
-				return rowMatch{}, false
-			}
-			ienv[st.Var] = substInt(st.Val, ienv)
-			consumed = append(consumed, "i:"+st.Var)
-		case SSet:
-			val := substExpr(st.Val, ienv, fenv)
-			if readsLocal(val, st.Var) {
-				// Self-referential assignment: a reduction accumulator.
-				rest = append(rest, SSet{Var: st.Var, Val: val})
-				continue
-			}
-			if _, dup := fenv[st.Var]; dup {
-				return rowMatch{}, false
-			}
-			fenv[st.Var] = val
-			consumed = append(consumed, "f:"+st.Var)
-		case SStore:
-			rest = append(rest, SStore{Buf: st.Buf, Idx: substInt(st.Idx, ienv), Val: substExpr(st.Val, ienv, fenv)})
-		default:
-			return rowMatch{}, false
-		}
-	}
-	base := func(idx IntExpr) (IntExpr, bool) {
-		b, s, o, ok := splitAffine(idx, v, assigned)
-		if !ok || s != stride {
-			return nil, false
-		}
-		if foldOff {
-			return addConst(b, o), true
-		}
-		if o != lane {
-			return nil, false
-		}
-		return b, true
-	}
-	ctx := rowCtx{v: v, assigned: assigned, base: base, strided: foldOff && stride == 1, dstBuf: -1}
-	if len(rest) == 2 {
-		// dst[i] = E; acc = bin2(acc, E) — a fused store+reduce sweep, the
-		// shape of softmax's scale/max and exp/sum passes.
-		st, okS := rest[0].(SStore)
-		ac, okA := rest[1].(SSet)
-		if !okS || !okA {
-			return rowMatch{}, false
-		}
-		m, ok := c.matchStoreReduce(st, ac, ctx)
-		if !ok {
-			return rowMatch{}, false
-		}
-		m.unroll = 1
-		m.consumed = consumed
-		return m, true
-	}
-	if len(rest) != 1 {
-		return rowMatch{}, false
-	}
-	switch st := rest[0].(type) {
-	case SSet:
-		// acc = bin(acc, load(x[i])) — one-pass reduction accumulate.
-		fb, ok := st.Val.(FBin)
-		if !ok {
-			return rowMatch{}, false
-		}
-		if fl, ok := fb.A.(FLocal); !ok || string(fl) != st.Var {
-			return rowMatch{}, false
-		}
-		ld, ok := fb.B.(FLoad)
-		if !ok {
-			return rowMatch{}, false
-		}
-		xb, ok := base(ld.Idx)
-		if !ok {
-			return rowMatch{}, false
-		}
-		fn, ok := binaryIndex[fb.Fn]
-		if !ok {
-			return rowMatch{}, false
-		}
-		return rowMatch{kind: rkReduce, bin: fn, xBuf: ld.Buf, xBase: xb,
-			accName: st.Var, unroll: 1, consumed: consumed}, true
-	case SStore:
-		db, ok := base(st.Idx)
-		if !ok {
-			return rowMatch{}, false
-		}
-		ctx.dstBuf = st.Buf
-		m, ok := c.classifyRowVal(st.Val, ctx)
-		if !ok {
-			return rowMatch{}, false
-		}
-		m.dstBuf = st.Buf
-		m.dstBase = db
-		m.unroll = 1
-		m.consumed = consumed
-		return m, true
-	}
-	return rowMatch{}, false
-}
-
-// matchStoreReduce recognizes the two-statement fused sweep
-// dst[i] = E; acc = bin2(acc, E). The row op reuses the stored value for
-// the fold, which is bit-identical to re-evaluating E because E is pure and
-// must not read the destination buffer (enforced below: a store that lands
-// on one of E's own load addresses would otherwise feed the fold the
-// post-store value).
-func (c *bcompiler) matchStoreReduce(st SStore, ac SSet, ctx rowCtx) (rowMatch, bool) {
-	fb, ok := ac.Val.(FBin)
-	if !ok {
-		return rowMatch{}, false
-	}
-	if fl, ok := fb.A.(FLocal); !ok || string(fl) != ac.Var {
-		return rowMatch{}, false
-	}
-	bin2, ok := binaryIndex[fb.Fn]
-	if !ok || fb.B != st.Val {
-		return rowMatch{}, false
-	}
-	db, ok := ctx.base(st.Idx)
-	if !ok {
-		return rowMatch{}, false
-	}
-	ctx.dstBuf = st.Buf
-	ctx.strided = false
-	inner, ok := c.classifyRowVal(st.Val, ctx)
-	if !ok || inner.xBuf == st.Buf {
-		return rowMatch{}, false
-	}
-	m := rowMatch{kind: rkStoreRed, bin2: bin2, dstBuf: st.Buf, dstBase: db,
-		xBuf: inner.xBuf, xBase: inner.xBase, accName: ac.Var}
-	switch inner.kind {
-	case rkCopy:
-		m.un, m.bin = bcIdUn, binNoneIdx
-	case rkMap1:
-		m.un, m.bin = inner.un, binNoneIdx
-	case rkZipS:
-		m.un, m.bin = bcIdUn, inner.bin
-		m.scalar1, m.scalarLeft = inner.scalar1, inner.scalarLeft
-	case rkMapZipS:
-		m.un, m.bin = inner.un, inner.bin
-		m.scalar1, m.scalarLeft = inner.scalar1, inner.scalarLeft
-	default:
-		return rowMatch{}, false
-	}
-	return m, true
 }
 
 // rowCtx carries everything classification needs about the enclosing loop:
 // the loop variable, the names it assigns, the affine base resolver for
-// unit-stride loads, the buffer the (single) store writes (-1 before it is
-// known), and whether strided source loads may match (plain stride-1 loops
-// only; unrolled lanes cannot fold symbolic strides).
+// unit-stride loads, the buffer the row op writes (-1 when none), and
+// whether strided source loads may match (plain stride-1 loops only;
+// unrolled lanes cannot fold symbolic strides).
 type rowCtx struct {
 	v        string
 	assigned map[string]bool
@@ -315,9 +57,10 @@ type rowCtx struct {
 }
 
 // scalar reports whether e is loop-invariant and safe to hoist into a
-// register read once per row: a constant, a local not assigned in the loop,
-// or a load at an invariant index from a buffer the row never writes (the
-// store could otherwise feed later iterations through the hoisted value).
+// register evaluated once per row: a constant, a local not assigned in the
+// loop, a load at an invariant index from a buffer the row never writes (the
+// store could otherwise feed later iterations through the hoisted value), or
+// pure unary/binary math over those (or an int cast of an invariant index).
 func (ctx rowCtx) scalar(e Expr) bool {
 	switch e := e.(type) {
 	case FConst:
@@ -326,6 +69,12 @@ func (ctx rowCtx) scalar(e Expr) bool {
 		return !ctx.assigned["f:"+string(e)]
 	case FLoad:
 		return e.Buf != ctx.dstBuf && invariantInt(e.Idx, ctx.v, ctx.assigned)
+	case FUn:
+		return ctx.scalar(e.X)
+	case FBin:
+		return ctx.scalar(e.A) && ctx.scalar(e.B)
+	case FCastInt:
+		return invariantInt(e.X, ctx.v, ctx.assigned)
 	}
 	return false
 }
@@ -342,19 +91,14 @@ func (ctx rowCtx) load(e Expr) (int, IntExpr, bool) {
 // classifyRowVal matches the stored value against the supported row
 // expression shapes.
 func (c *bcompiler) classifyRowVal(val Expr, ctx rowCtx) (rowMatch, bool) {
-	switch val := val.(type) {
-	case FConst, FLocal:
+	if ctx.scalar(val) {
 		// dst[i] = s over the whole row: a fill (pad's zero sweeps).
-		if ctx.scalar(val) {
-			return rowMatch{kind: rkFill, scalar1: val}, true
-		}
-		return rowMatch{}, false
+		return rowMatch{kind: rkFill, scalar1: val}, true
+	}
+	switch val := val.(type) {
 	case FLoad:
 		if buf, b, ok := ctx.load(val); ok {
 			return rowMatch{kind: rkCopy, xBuf: buf, xBase: b}, true
-		}
-		if ctx.scalar(val) {
-			return rowMatch{kind: rkFill, scalar1: val}, true
 		}
 		// Strided gather: base + i*stride with an invariant stride — the
 		// inner sweep of a restructured transpose.
@@ -409,8 +153,9 @@ func (c *bcompiler) classifyRowVal(val Expr, ctx rowCtx) (rowMatch, bool) {
 			}
 		}
 		// bin2(bin1(load, s1), s2) — e.g. the layernorm (x-mean)*rstd sweep.
+		// The row op applies bin1 with the scalar on the right only.
 		if inner, ok := val.A.(FBin); ok && ctx.scalar(val.B) {
-			if m, ok := c.classifyBinScalar(inner, ctx); ok {
+			if m, ok := c.classifyBinScalar(inner, ctx); ok && !m.scalarLeft {
 				m.kind = rkZip2S
 				m.bin2 = fn
 				m.scalar2 = val.B
@@ -444,17 +189,23 @@ func (c *bcompiler) classifyBinScalar(fb FBin, ctx rowCtx) (rowMatch, bool) {
 	return rowMatch{}, false
 }
 
-// emitSuper emits the base/count setup and the row instruction.
-func (c *bcompiler) emitSuper(m rowMatch, s SLoop) {
-	// Element count: extent times the unroll factor.
-	tn := c.tempInt()
-	c.emitInt(s.Extent, tn)
-	if m.unroll > 1 {
-		c.emit(instr{op: opIMulImm, a: tn, b: tn, c: int32(m.unroll)})
+// noOffset marks a row op whose bases need no per-chunk offset.
+const noOffset = -1
+
+// emitRowOp emits the base setup and the row instruction for m over tn
+// elements. When off is a register, it is added to every base of a kernel
+// buffer (not of a row temporary): the element offset of the current chunk
+// of a chunked split sweep.
+func (c *bcompiler) emitRowOp(m rowMatch, tn, off int32) {
+	base := func(e IntExpr, buf int, r int32) {
+		c.emitInt(e, r)
+		if off != noOffset && buf < c.k.NumBuffers {
+			c.emit(instr{op: opIAdd, a: r, b: r, c: off})
+		}
 	}
 	if m.kind == rkReduce {
 		tb := c.tempInt()
-		c.emitInt(m.xBase, tb)
+		base(m.xBase, m.xBuf, tb)
 		acc := c.fltReg(m.accName)
 		c.emit(instr{op: opRowReduce, a: acc, b: int32(m.xBuf), c: tb, d: tn, g: int32(m.bin)})
 		c.supers++
@@ -462,7 +213,7 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop) {
 	}
 	if m.kind == rkFill {
 		bd := c.tempInt()
-		c.emitInt(m.dstBase, bd)
+		base(m.dstBase, m.dstBuf, bd)
 		rs := c.fltOperand(m.scalar1)
 		c.emit(instr{op: opRowFill, a: int32(m.dstBuf), c: rs, d: bd, e: tn})
 		c.supers++
@@ -472,9 +223,15 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop) {
 		bd := c.tempInt()
 		bx := c.tempInt()
 		ts := c.tempInt()
-		c.emitInt(m.dstBase, bd)
+		base(m.dstBase, m.dstBuf, bd)
 		c.emitInt(m.xBase, bx)
 		c.emitInt(m.xStride, ts)
+		if off != noOffset {
+			// The chunk starts off elements in: off*stride source elements.
+			t := c.tempInt()
+			c.emit(instr{op: opIMul, a: t, b: off, c: ts})
+			c.emit(instr{op: opIAdd, a: bx, b: bx, c: t})
+		}
 		c.emit(instr{op: opRowGathS, a: int32(m.dstBuf), b: int32(m.xBuf), c: ts, d: bd, e: tn,
 			g: int32(m.un)})
 		c.supers++
@@ -488,10 +245,10 @@ func (c *bcompiler) emitSuper(m rowMatch, s SLoop) {
 	if m.kind == rkZip || m.kind == rkMapZip {
 		by = c.tempInt()
 	}
-	c.emitInt(m.dstBase, bd)
-	c.emitInt(m.xBase, bx)
+	base(m.dstBase, m.dstBuf, bd)
+	base(m.xBase, m.xBuf, bx)
 	if m.kind == rkZip || m.kind == rkMapZip {
-		c.emitInt(m.yBase, by)
+		base(m.yBase, m.yBuf, by)
 	}
 	switch m.kind {
 	case rkCopy:
@@ -743,32 +500,6 @@ func substInt(e IntExpr, ienv map[string]IntExpr) IntExpr {
 		return IBin{Op: e.Op, A: substInt(e.A, ienv), B: substInt(e.B, ienv)}
 	case ILoad:
 		return ILoad{Buf: e.Buf, Idx: substInt(e.Idx, ienv)}
-	default:
-		return e
-	}
-}
-
-// substExpr forward-substitutes local definitions into an f32 expression.
-// All expressions are pure, so duplication is semantically free.
-func substExpr(e Expr, ienv map[string]IntExpr, fenv map[string]Expr) Expr {
-	switch e := e.(type) {
-	case FLocal:
-		if r, ok := fenv[string(e)]; ok {
-			return r
-		}
-		return e
-	case FLoad:
-		return FLoad{Buf: e.Buf, Idx: substInt(e.Idx, ienv)}
-	case FUn:
-		return FUn{Fn: e.Fn, X: substExpr(e.X, ienv, fenv)}
-	case FBin:
-		return FBin{Fn: e.Fn, A: substExpr(e.A, ienv, fenv), B: substExpr(e.B, ienv, fenv)}
-	case FCmp:
-		return FCmp{Op: e.Op, A: substExpr(e.A, ienv, fenv), B: substExpr(e.B, ienv, fenv)}
-	case FSel:
-		return FSel{P: substExpr(e.P, ienv, fenv), A: substExpr(e.A, ienv, fenv), B: substExpr(e.B, ienv, fenv)}
-	case FCastInt:
-		return FCastInt{X: substInt(e.X, ienv)}
 	default:
 		return e
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// super_test pins the superinstruction matcher: each row kind must collapse
+// super_test pins the row ops: each row kind must collapse
 // its canonical loop shape into a single instruction, wrong hints must fall
-// back to generic code without changing results, and the vec4 de-unroller
-// must fold unrolled lanes back into one whole-row op.
+// back to generic code without changing results, and unrolled vec4 lanes
+// must fold back into one whole-row op.
 
 func stride1Row(body []Stmt) *Kernel {
 	return &Kernel{
@@ -97,7 +97,7 @@ func TestSuperinstructionReduce(t *testing.T) {
 	requireSuper(t, k, "row.reduce")
 }
 
-// TestSuperinstructionUnrolled checks the de-unroller: a 4-lane unrolled body
+// TestSuperinstructionUnrolled checks de-unrolling: a 4-lane unrolled body
 // (the shape the vec4 specialization lowers to) folds back into one row op
 // covering 4*extent elements.
 func TestSuperinstructionUnrolled(t *testing.T) {
@@ -138,7 +138,7 @@ func TestSuperinstructionUnrolled(t *testing.T) {
 }
 
 // TestSuperinstructionWrongHintFallback feeds stride-1-flagged loops whose
-// bodies do NOT match any row pattern; the matcher must reject them (hints
+// bodies have no row form; the sweep compiler must reject them (hints
 // are advisory, structure is authoritative) and the generic loop must still
 // produce interpreter-identical results.
 func TestSuperinstructionWrongHintFallback(t *testing.T) {
@@ -155,9 +155,16 @@ func TestSuperinstructionWrongHintFallback(t *testing.T) {
 			SStore{Buf: 1, Idx: IVar("i"), Val: FLocal("esc")},
 			SStore{Buf: 2, Idx: IVar("i"), Val: FLocal("esc")},
 		}},
+		// Two stores to different buffers split into two row ops
+		// (sweep_test.go); two stores to one buffer, or a store to a
+		// buffer the body also loads, must stay per-element.
 		{"two stores", []Stmt{
 			SStore{Buf: 1, Idx: IVar("i"), Val: FLoad{Buf: 0, Idx: IVar("i")}},
-			SStore{Buf: 2, Idx: IVar("i"), Val: FConst(1)},
+			SStore{Buf: 1, Idx: IVar("i"), Val: FConst(1)},
+		}},
+		{"load and store of one buffer", []Stmt{
+			SStore{Buf: 1, Idx: IVar("i"), Val: FLoad{Buf: 0, Idx: IVar("i")}},
+			SStore{Buf: 0, Idx: IVar("i"), Val: FConst(1)},
 		}},
 		{"select body", []Stmt{
 			SStore{Buf: 1, Idx: IVar("i"),

@@ -1,8 +1,9 @@
 package kir
 
 // The bytecode VM: one tight dispatch loop over the flat register file.
-// exec performs zero allocations; all state lives in the pooled Frame and
-// the caller's buffers. Superinstruction cases run whole contiguous rows
+// exec performs zero allocations once a frame's row temporaries have grown
+// to the sweeps' extents; all state lives in the pooled Frame and the
+// caller's buffers. Superinstruction cases run whole contiguous rows
 // per dispatch, with the hottest scalar functions open-coded so the inner
 // loops contain no indirect calls.
 
@@ -183,6 +184,12 @@ func (p *program) exec(f *Frame) {
 		case opRowReduce:
 			if n := ints[i.d]; n > 0 {
 				floats[i.a] = rowReduce(floats[i.a], bufs[i.b][ints[i.c]:ints[i.c]+n], int(i.g))
+			}
+		case opRowTmp:
+			if n := ints[i.e]; len(bufs[i.a]) < n {
+				t := make([]float32, n)
+				bufs[i.a] = t
+				f.tmps[i.b] = t
 			}
 		}
 		pc++
@@ -384,8 +391,8 @@ func rowGathS(dst, src []float32, sb, stride, un int) {
 
 // rowFusedRed runs dst[i] = un(bin(x[i], s)); acc = bin2(acc, dst[i]) in one
 // sweep. Reusing the stored value for the fold is bit-identical to the
-// scalar loop's re-evaluation because the expression is pure and the matcher
-// rejects rows whose loads alias the destination.
+// scalar loop's re-evaluation because the expression is pure and the sweep
+// compiler fuses no writer that reads its own destination.
 func rowFusedRed(dst, x []float32, s, acc float32, g int, scalarLeft bool) float32 {
 	x = x[:len(dst)]
 	un := (g >> 8) & 0xff

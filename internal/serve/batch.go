@@ -618,7 +618,7 @@ func (ob *openBatch) run() {
 	}
 	defer release()
 
-	eng, _, hit, unpin, err := s.engine(ob.m, sp)
+	eng, hit, unpin, err := s.engine(ob.m, sp)
 	if err != nil {
 		s.stats.batchRun("error", rows)
 		ob.deliver(batchResult{solo: true})

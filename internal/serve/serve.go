@@ -438,10 +438,10 @@ func (s *Server) lookup(name string) (*modelEntry, error) {
 // On success the entry is pinned against eviction (the fleet layer's LRU
 // must never remove an engine mid-run); the returned unpin must be called
 // exactly once, as soon as the run completes. unpin is nil on error.
-func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, string, bool, func(), error) {
+func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, bool, func(), error) {
 	sig, err := m.signature()
 	if err != nil {
-		return nil, "", false, nil, err
+		return nil, false, nil, err
 	}
 	lsp := sp.Child("cache-lookup", obs.A("signature", sig))
 	defer lsp.End()
@@ -451,9 +451,9 @@ func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, string, bool, func
 	})
 	lsp.SetAttr("hit", fmt.Sprintf("%t", hit))
 	if err != nil {
-		return nil, sig, hit, nil, err
+		return nil, hit, nil, err
 	}
-	return v.(Engine), sig, hit, func() { s.cache.Unpin(key) }, nil
+	return v.(Engine), hit, func() { s.cache.Unpin(key) }, nil
 }
 
 // buildEngine resolves an engine that is not in memory: the persistent
@@ -538,7 +538,7 @@ func (s *Server) Warm(model string) error {
 	if err != nil {
 		return err
 	}
-	_, _, _, unpin, err := s.engine(m, nil)
+	_, _, unpin, err := s.engine(m, nil)
 	if unpin != nil {
 		unpin()
 	}
@@ -705,7 +705,7 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 				return nil, err
 			}
 		}
-		eng, _, hit, unpin, err := s.engine(m, sp)
+		eng, hit, unpin, err := s.engine(m, sp)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, discerr.ErrTransient) && attempt < s.cfg.MaxRetries && ctx.Err() == nil {
