@@ -39,7 +39,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:86 internal/ral:81 internal/graph:82 internal/codegen:57; do \
+	for entry in internal/serve:85 internal/exec:85 internal/obs:92 internal/enginecache:72 internal/fleet:88 internal/kir:86 internal/ral:81 internal/graph:82 internal/codegen:57; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \
@@ -50,7 +50,10 @@ cover:
 
 # fuzz runs the native fuzz targets (trace-file and fault-spec parsers,
 # the engine-cache entry decoder, the two-way KIR differential generator —
-# random kernel programs, interpreter vs bytecode VM, bit-exact — and the
+# random kernel programs, interpreter vs bytecode VM, bit-exact — the
+# engine image decoder, whose accepted images must re-encode stably and run
+# every kernel program inside its frame (minimization is capped: images are
+# tens of kilobytes and a time-bounded minimization stalls the run), the
 # fleet's v2 HTTP infer-body decoder and tensor-data codec, both
 # differentially against encoding/json, and the graph text parser a model
 # repository reads from disk, whose accepted graphs must copy and re-parse
@@ -63,6 +66,7 @@ fuzz:
 	go test -fuzz=FuzzFaultSpec -fuzztime=$(FUZZTIME) ./internal/faultinject
 	go test -fuzz=FuzzEngineCacheDecode -fuzztime=$(FUZZTIME) ./internal/enginecache
 	go test -fuzz=FuzzKIRProgram -fuzztime=$(FUZZTIME) ./internal/kir
+	go test -fuzz=FuzzDecodeImage -fuzztime=$(FUZZTIME) -fuzzminimizetime=20x ./internal/exec
 	go test -fuzz=FuzzV2InferDecode -fuzztime=$(FUZZTIME) ./internal/fleet
 	go test -fuzz=FuzzV2FloatCodec -fuzztime=$(FUZZTIME) ./internal/fleet
 	go test -fuzz=FuzzParseText -fuzztime=$(FUZZTIME) ./internal/graph

@@ -42,6 +42,7 @@ package godisc
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 
 	"godisc/internal/baselines"
@@ -54,6 +55,7 @@ import (
 	"godisc/internal/fleet"
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
+	"godisc/internal/kir"
 	"godisc/internal/models"
 	"godisc/internal/obs"
 	"godisc/internal/opt"
@@ -205,16 +207,17 @@ type compileConfig struct {
 
 // fingerprint names this compile configuration for the persistent engine
 // cache: every knob that changes generated code participates (the engine
-// image format version, the device model, and the fusion/codegen
-// ablations), so entries from any other configuration are quarantined
-// instead of served.
+// image format version, the kir bytecode ABI the persisted programs are
+// encoded against, the device model, and the fusion/codegen ablations), so
+// entries from any other configuration are quarantined instead of served.
 func (c *compileConfig) fingerprint() string {
 	dev := c.device
 	if dev == nil {
 		dev = device.A10()
 	}
-	return fmt.Sprintf("img%d|dev=%s|stitch=%t|horiz=%t|fusion=%t|spec=%t",
-		exec.ImageVersion, dev.Name, !c.disableStitch, !c.disableHorizontal,
+	abi := sha256.Sum256([]byte(kir.ABI()))
+	return fmt.Sprintf("img%d|abi=%x|dev=%s|stitch=%t|horiz=%t|fusion=%t|spec=%t",
+		exec.ImageVersion, abi[:6], dev.Name, !c.disableStitch, !c.disableHorizontal,
 		!c.disableFusion, !c.disableSpecialization)
 }
 

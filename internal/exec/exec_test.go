@@ -14,7 +14,7 @@ import (
 
 // compile optimizes, plans and compiles a graph with the given fusion
 // config.
-func compile(t *testing.T, g *graph.Graph, fcfg fusion.Config) *Executable {
+func compile(t testing.TB, g *graph.Graph, fcfg fusion.Config) *Executable {
 	t.Helper()
 	if _, err := opt.Default().Run(g); err != nil {
 		t.Fatal(err)

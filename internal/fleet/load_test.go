@@ -63,11 +63,11 @@ func TestRegisteredBuildersShareNothing(t *testing.T) {
 	// Evict and re-warm one version so its builder runs for a second
 	// compile.
 	const reg = "alpha:1"
-	sig, err := srv.ModelSignature(reg)
+	key, err := srv.EngineKey(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evicted, _ := srv.EvictEngine(reg, sig); !evicted {
+	if evicted, _ := srv.EvictEngine(key); !evicted {
 		t.Fatalf("%s: engine not evicted", reg)
 	}
 	if err := srv.Warm(reg); err != nil {

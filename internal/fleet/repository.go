@@ -26,6 +26,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -63,7 +65,7 @@ const GraphFileName = "model.graph"
 type modelVersion struct {
 	model, version string
 	regName        string // serve-layer model name: "<model>:<version>"
-	sig            string // symbolic signature (engine-cache key suffix)
+	key            string // engine-cache key: name, signature and file SHA-256
 	bytes          int64  // resident footprint charged while the engine lives
 	meta           ModelMeta
 
@@ -236,8 +238,8 @@ func (f *Fleet) loadVersion(ctx context.Context, name, version, path string) (*m
 	if err != nil {
 		return nil, &httpError{code: http.StatusNotFound, msg: err.Error()}
 	}
-	text := string(raw)
-	g, err := graph.ParseText(text)
+	sum := sha256.Sum256(raw)
+	g, err := graph.ParseText(string(raw))
 	if err != nil {
 		return nil, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("parsing %s: %v", GraphFileName, err)}
 	}
@@ -256,10 +258,14 @@ func (f *Fleet) loadVersion(ctx context.Context, name, version, path string) (*m
 	// builder hands out deep copies, so every invocation still returns a
 	// fresh graph (the contract serve.Register demands) without parsing
 	// the text again.
-	if err := f.srv.Register(mv.regName, func() *graph.Graph { return g.Copy() }); err != nil {
+	// The engine key names the file's SHA-256, so an edited model.graph
+	// never reaches an engine (in memory or in the persistent cache)
+	// compiled from the old bytes.
+	content := hex.EncodeToString(sum[:])
+	if err := f.srv.RegisterContent(mv.regName, content, func() *graph.Graph { return g.Copy() }); err != nil {
 		return nil, err
 	}
-	if mv.sig, err = f.srv.ModelSignature(mv.regName); err != nil {
+	if mv.key, err = f.srv.EngineKey(mv.regName); err != nil {
 		_ = f.srv.Unregister(mv.regName)
 		return nil, err
 	}
@@ -278,7 +284,7 @@ func (f *Fleet) loadVersion(ctx context.Context, name, version, path string) (*m
 // being unloaded): unregister, drop the engine, release the ledger.
 func (f *Fleet) unwindVersion(mv *modelVersion) {
 	_ = f.srv.Unregister(mv.regName)
-	f.srv.EvictEngine(mv.regName, mv.sig)
+	f.srv.EvictEngine(mv.key)
 	f.mu.Lock()
 	if mv.resident {
 		mv.resident = false
@@ -327,7 +333,7 @@ func (f *Fleet) retireVersion(ctx context.Context, mv *modelVersion, reason stri
 		f.mu.Lock()
 		idle := mv.active == 0
 		f.mu.Unlock()
-		_, pinned := f.srv.EvictEngine(mv.regName, mv.sig)
+		_, pinned := f.srv.EvictEngine(mv.key)
 		if idle && !pinned {
 			break
 		}
@@ -478,7 +484,7 @@ func (f *Fleet) evictOneIdle(keep *modelVersion) bool {
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].lastUsed.Before(victims[j].lastUsed) })
 	for _, mv := range victims {
-		if _, pinned := f.srv.EvictEngine(mv.regName, mv.sig); pinned {
+		if _, pinned := f.srv.EvictEngine(mv.key); pinned {
 			continue // a run slipped in; try the next-oldest
 		}
 		mv.resident = false

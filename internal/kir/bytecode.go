@@ -91,7 +91,9 @@ const (
 	opRowFRedSR
 	opRowFRedSL
 	// opRowTmp makes row temporary b (buffer a, after the kernel's own)
-	// hold at least ints[e] elements, growing the frame-owned row.
+	// hold at least e elements, growing the frame-owned row. e is an
+	// immediate no larger than splitChunk, so a program's temporaries are
+	// bounded by its own text.
 	opRowTmp
 )
 
@@ -177,11 +179,14 @@ type bcompiler struct {
 	// nTmp is the number of row temporaries the sweeps need (the most any
 	// one sweep uses; sweeps never overlap).
 	nTmp int
-	// globalReads counts IVar/FLocal reads per prefixed name across the
-	// whole kernel; a sweep compiled to row ops requires the locals it
-	// never materializes to have no reads outside the loop.
-	globalReads map[string]int
-	err         error
+	// reads is the kernel's read census; a sweep compiled to row ops
+	// requires the locals it never materializes to have no reads outside
+	// the loop. loopSeq counts the loops compiled so far, in pre-order,
+	// which indexes reads.loops: a loop whose body compiles to row ops has
+	// no loops inside it, so every loop is visited exactly once.
+	reads   readIndex
+	loopSeq int
+	err     error
 }
 
 func (c *bcompiler) fail(format string, args ...any) {
@@ -210,8 +215,7 @@ func (cp *Compiled) finalizeBytecode(dimSlot map[string]int) error {
 	c.tmpInt = int32(len(c.intSlot))
 	c.tmpFlt = int32(len(c.fltSlot))
 	c.nInt, c.nFlt = c.tmpInt, c.tmpFlt
-	c.globalReads = map[string]int{}
-	countReadsStmts(cp.kernel.Body, c.globalReads)
+	c.reads = indexReads(cp.kernel.Body)
 	c.compileStmts(cp.kernel.Body)
 	if c.err != nil {
 		return c.err
@@ -342,8 +346,10 @@ func (c *bcompiler) compileStmt(s Stmt) {
 // the variable at the top of each iteration and never increments past the
 // last).
 func (c *bcompiler) compileLoop(s SLoop) {
+	bodyReads := c.reads.loops[c.loopSeq]
+	c.loopSeq++
 	if s.Flags&LoopStride1 != 0 {
-		why, ok := c.trySweep(s)
+		why, ok := c.trySweep(s, bodyReads)
 		if ok {
 			return
 		}

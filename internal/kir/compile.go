@@ -43,11 +43,16 @@ type Frame struct {
 // register is written before it is read, so frames need no zeroing between
 // runs).
 type Compiled struct {
-	kernel  *Kernel
-	nInts   int
-	nFloats int
-	nTmps   int
-	frames  sync.Pool
+	// kernel is the AST the program was compiled from; nil for a program
+	// read back from an engine image (ReadCompiled), which carries no AST.
+	kernel     *Kernel
+	name       string
+	numBuffers int
+	dimNames   []string
+	nInts      int
+	nFloats    int
+	nTmps      int
+	frames     sync.Pool
 
 	// prog is the flat bytecode program (vm.go executes it).
 	prog *program
@@ -64,9 +69,14 @@ func (k *Kernel) Finalize() (*Compiled, error) {
 		}
 		dimSlot[d] = i
 	}
-	cp := &Compiled{kernel: k}
+	cp := &Compiled{kernel: k, name: k.Name, numBuffers: k.NumBuffers, dimNames: k.DimNames}
 	if err := cp.finalizeBytecode(dimSlot); err != nil {
 		return nil, err
+	}
+	// Every program the compiler emits must pass the validator an engine
+	// image is read back through, so a persisted program always reloads.
+	if err := cp.validate(); err != nil {
+		return nil, fmt.Errorf("kir: kernel %s: compiler emitted an invalid program: %w", k.Name, err)
 	}
 	return cp, nil
 }
@@ -82,13 +92,13 @@ func (k *Kernel) MustFinalize() *Compiled {
 }
 
 func (cp *Compiled) checkArgs(bufs [][]float32, dims []int) error {
-	if len(bufs) != cp.kernel.NumBuffers {
+	if len(bufs) != cp.numBuffers {
 		return fmt.Errorf("kir: kernel %s: got %d buffers, want %d",
-			cp.kernel.Name, len(bufs), cp.kernel.NumBuffers)
+			cp.name, len(bufs), cp.numBuffers)
 	}
-	if len(dims) != len(cp.kernel.DimNames) {
+	if len(dims) != len(cp.dimNames) {
 		return fmt.Errorf("kir: kernel %s: got %d dims, want %d",
-			cp.kernel.Name, len(dims), len(cp.kernel.DimNames))
+			cp.name, len(dims), len(cp.dimNames))
 	}
 	return nil
 }
@@ -136,15 +146,18 @@ func (cp *Compiled) Run(bufs [][]float32, dims []int) error {
 }
 
 // Name returns the kernel's name.
-func (cp *Compiled) Name() string { return cp.kernel.Name }
+func (cp *Compiled) Name() string { return cp.name }
 
-// AST returns the kernel AST this program was compiled from. The AST is
-// pure data, so it is what the engine cache serializes; decoding re-runs
-// Finalize to regenerate the program.
+// AST returns the kernel AST this program was compiled from, or nil for a
+// program read back from an engine image: images persist the program
+// itself (binary.go), not the AST.
 func (cp *Compiled) AST() *Kernel { return cp.kernel }
 
+// NumBuffers returns the number of buffers Run takes.
+func (cp *Compiled) NumBuffers() int { return cp.numBuffers }
+
 // DimNames returns the runtime dim parameter names.
-func (cp *Compiled) DimNames() []string { return cp.kernel.DimNames }
+func (cp *Compiled) DimNames() []string { return cp.dimNames }
 
 // Superinstructions reports how many whole-row superinstructions the
 // bytecode compiler emitted — exposed for tests and tracing.

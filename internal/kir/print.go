@@ -44,8 +44,15 @@ func writeStmts(sb *strings.Builder, ss []Stmt, depth int) {
 	}
 }
 
-// Source exposes the disassembly of a compiled kernel.
-func (cp *Compiled) Source() string { return cp.kernel.String() }
+// Source exposes the source of a compiled kernel: the AST when the program
+// was compiled in this process, else (a program read from an engine
+// image) its bytecode disassembly.
+func (cp *Compiled) Source() string {
+	if cp.kernel == nil {
+		return cp.Disassemble()
+	}
+	return cp.kernel.String()
+}
 
 // opNames mirrors the opcode constants in bytecode.go for disassembly.
 var opNames = [...]string{
@@ -78,7 +85,7 @@ var opNames = [...]string{
 func (cp *Compiled) Disassemble() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; kernel %s: %d instrs, %d superinstructions, %d int regs, %d f32 regs",
-		cp.kernel.Name, len(cp.prog.code), cp.prog.supers, cp.nInts, cp.nFloats)
+		cp.name, len(cp.prog.code), cp.prog.supers, cp.nInts, cp.nFloats)
 	sb.WriteByte('\n')
 	for pc, in := range cp.prog.code {
 		fmt.Fprintf(&sb, "%4d  %s\n", pc, formatInstr(in))
@@ -180,7 +187,7 @@ func formatInstr(in instr) string {
 		return fmt.Sprintf("%-12s f%d = fold %s b%d[i%d:] n=i%d",
 			n, in.a, binaryNames[in.g], in.b, in.c, in.d)
 	case opRowTmp:
-		return fmt.Sprintf("%-12s b%d = t%d, len >= i%d", n, in.a, in.b, in.e)
+		return fmt.Sprintf("%-12s b%d = t%d, len >= %d", n, in.a, in.b, in.e)
 	}
 	return fmt.Sprintf("%-12s a=%d b=%d c=%d d=%d e=%d g=%d", n, in.a, in.b, in.c, in.d, in.e, in.g)
 }

@@ -44,16 +44,24 @@ type rowMatch struct {
 }
 
 // rowCtx carries everything classification needs about the enclosing loop:
-// the loop variable, the names it assigns, the affine base resolver for
-// unit-stride loads, the buffer the row op writes (-1 when none), and
-// whether strided source loads may match (plain stride-1 loops only;
-// unrolled lanes cannot fold symbolic strides).
+// the loop variable, the names it assigns, the buffer the row op writes (-1
+// when none), and whether strided source loads may match (plain stride-1
+// loops only; unrolled lanes cannot fold symbolic strides).
 type rowCtx struct {
 	v        string
-	assigned map[string]bool
-	base     func(IntExpr) (IntExpr, bool)
+	assigned map[local]bool
 	dstBuf   int
 	strided  bool
+}
+
+// base resolves a unit-stride index base + v + off to its loop-invariant
+// element base (base + off).
+func (ctx rowCtx) base(idx IntExpr) (IntExpr, bool) {
+	b, st, off, ok := splitAffine(idx, ctx.v, ctx.assigned)
+	if !ok || st != 1 {
+		return nil, false
+	}
+	return addConst(b, off), true
 }
 
 // scalar reports whether e is loop-invariant and safe to hoist into a
@@ -66,7 +74,7 @@ func (ctx rowCtx) scalar(e Expr) bool {
 	case FConst:
 		return true
 	case FLocal:
-		return !ctx.assigned["f:"+string(e)]
+		return !ctx.assigned[fLocal(string(e))]
 	case FLoad:
 		return e.Buf != ctx.dstBuf && invariantInt(e.Idx, ctx.v, ctx.assigned)
 	case FUn:
@@ -310,7 +318,7 @@ func (c *bcompiler) emitRowOp(m rowMatch, tn, off int32) {
 // splitAffine decomposes e as base + stride*v + off with a v-invariant base
 // and constant off. Invariance rejects names assigned inside the loop body
 // and all buffer loads (the loop may write the buffer being read).
-func splitAffine(e IntExpr, v string, assigned map[string]bool) (base IntExpr, stride, off int, ok bool) {
+func splitAffine(e IntExpr, v string, assigned map[local]bool) (base IntExpr, stride, off int, ok bool) {
 	switch e := e.(type) {
 	case IConst:
 		return IConst(0), 0, int(e), true
@@ -320,7 +328,7 @@ func splitAffine(e IntExpr, v string, assigned map[string]bool) (base IntExpr, s
 		if string(e) == v {
 			return IConst(0), 1, 0, true
 		}
-		if assigned["i:"+string(e)] {
+		if assigned[iLocal(string(e))] {
 			return nil, 0, 0, false
 		}
 		return e, 0, 0, true
@@ -368,7 +376,7 @@ func splitAffine(e IntExpr, v string, assigned map[string]bool) (base IntExpr, s
 // are loop-invariant *expressions* — the shape of a restructured transpose's
 // inner sweep, whose source stride is a symbolic pitch rather than a
 // constant. splitAffine stays the fast path for unit/constant strides.
-func splitAffineSym(e IntExpr, v string, assigned map[string]bool) (base, stride IntExpr, ok bool) {
+func splitAffineSym(e IntExpr, v string, assigned map[local]bool) (base, stride IntExpr, ok bool) {
 	switch e := e.(type) {
 	case IVar:
 		if string(e) == v {
@@ -454,12 +462,12 @@ func mulIE(a, b IntExpr) IntExpr {
 
 // invariantInt reports whether e is loop-invariant: it references neither
 // the loop variable, nor any name assigned in the loop body, nor any buffer.
-func invariantInt(e IntExpr, v string, assigned map[string]bool) bool {
+func invariantInt(e IntExpr, v string, assigned map[local]bool) bool {
 	switch e := e.(type) {
 	case IConst, IDim:
 		return true
 	case IVar:
-		return string(e) != v && !assigned["i:"+string(e)]
+		return string(e) != v && !assigned[iLocal(string(e))]
 	case IBin:
 		return invariantInt(e.A, v, assigned) && invariantInt(e.B, v, assigned)
 	default: // ILoad: never hoisted out of the loop
@@ -523,23 +531,34 @@ func readsLocal(e Expr, name string) bool {
 	}
 }
 
-// assignedIn collects prefixed names assigned anywhere in the statements.
-func assignedIn(ss []Stmt, out map[string]bool) {
+// local names an int (IVar, loop variable) or f32 (FLocal) local: the two
+// namespaces are separate. A struct key, unlike a prefixed string, costs no
+// allocation per map access.
+type local struct {
+	flt  bool
+	name string
+}
+
+func iLocal(name string) local { return local{name: name} }
+func fLocal(name string) local { return local{flt: true, name: name} }
+
+// assignedIn collects the locals assigned anywhere in the statements.
+func assignedIn(ss []Stmt, out map[local]bool) {
 	for _, s := range ss {
 		switch s := s.(type) {
 		case SLoop:
-			out["i:"+s.Var] = true
+			out[iLocal(s.Var)] = true
 			assignedIn(s.Body, out)
 		case SSetInt:
-			out["i:"+s.Var] = true
+			out[iLocal(s.Var)] = true
 		case SSet:
-			out["f:"+s.Var] = true
+			out[fLocal(s.Var)] = true
 		}
 	}
 }
 
-// countReadsStmts tallies IVar ("i:name") and FLocal ("f:name") reads.
-func countReadsStmts(ss []Stmt, m map[string]int) {
+// countReadsStmts tallies IVar and FLocal reads.
+func countReadsStmts(ss []Stmt, m map[local]int) {
 	for _, s := range ss {
 		switch s := s.(type) {
 		case SLoop:
@@ -559,10 +578,10 @@ func countReadsStmts(ss []Stmt, m map[string]int) {
 	}
 }
 
-func countReadsInt(e IntExpr, m map[string]int) {
+func countReadsInt(e IntExpr, m map[local]int) {
 	switch e := e.(type) {
 	case IVar:
-		m["i:"+string(e)]++
+		m[iLocal(string(e))]++
 	case IBin:
 		countReadsInt(e.A, m)
 		countReadsInt(e.B, m)
@@ -571,10 +590,10 @@ func countReadsInt(e IntExpr, m map[string]int) {
 	}
 }
 
-func countReadsExpr(e Expr, m map[string]int) {
+func countReadsExpr(e Expr, m map[local]int) {
 	switch e := e.(type) {
 	case FLocal:
-		m["f:"+string(e)]++
+		m[fLocal(string(e))]++
 	case FLoad:
 		countReadsInt(e.Idx, m)
 	case FUn:

@@ -53,9 +53,9 @@ const splitChunk = 512
 // sweep plans the row ops of one loop.
 type sweep struct {
 	c        *bcompiler
-	v        string          // the loop variable; counts elements in canonical statements
-	assigned map[string]bool // prefixed names assigned in the loop body
-	plain    bool            // not unrolled: strided gathers may match
+	v        string         // the loop variable; counts elements in canonical statements
+	assigned map[local]bool // locals assigned in the loop body
+	plain    bool           // not unrolled: strided gathers may match
 	nTmp     int
 	ops      []rowMatch
 	// rows lists each planned expression with the row holding its values,
@@ -79,10 +79,105 @@ func (sw *sweep) planned(e Expr) (rowRef, bool) {
 	return rowRef{}, false
 }
 
-// trySweep plans and emits a LoopStride1 loop as row ops. On failure
-// nothing is emitted and the rejecting rule is returned.
-func (c *bcompiler) trySweep(s SLoop) (string, bool) {
-	assigned := map[string]bool{}
+// readIndex is the kernel-wide census of local reads the sweep planner
+// consults, built in one walk per kernel: every IVar and FLocal read is
+// numbered in pre-order, each local keeps the span from its first to its
+// last read, and each loop (in the pre-order the bytecode compiler visits
+// loops) keeps the span of the reads inside its body.
+type readIndex struct {
+	locals map[local]span
+	loops  []span
+	n      int32
+}
+
+// span is a half-open range [lo, hi) of read numbers.
+type span struct{ lo, hi int32 }
+
+func indexReads(ss []Stmt) readIndex {
+	r := readIndex{locals: map[local]span{}}
+	r.stmts(ss)
+	return r
+}
+
+// onlyIn reports whether every read of name lies inside body.
+func (r *readIndex) onlyIn(name local, body span) bool {
+	s, ok := r.locals[name]
+	return !ok || s.lo >= body.lo && s.hi <= body.hi
+}
+
+func (r *readIndex) read(name local) {
+	s, ok := r.locals[name]
+	if !ok {
+		s.lo = r.n
+	}
+	s.hi = r.n + 1
+	r.locals[name] = s
+	r.n++
+}
+
+func (r *readIndex) stmts(ss []Stmt) {
+	for _, s := range ss {
+		switch s := s.(type) {
+		case SLoop:
+			r.intExpr(s.Extent)
+			i := len(r.loops)
+			r.loops = append(r.loops, span{lo: r.n})
+			r.stmts(s.Body)
+			r.loops[i].hi = r.n
+		case SSet:
+			r.expr(s.Val)
+		case SSetInt:
+			r.intExpr(s.Val)
+		case SStore:
+			r.intExpr(s.Idx)
+			r.expr(s.Val)
+		case SStoreInt:
+			r.intExpr(s.Idx)
+			r.intExpr(s.Val)
+		}
+	}
+}
+
+func (r *readIndex) intExpr(e IntExpr) {
+	switch e := e.(type) {
+	case IVar:
+		r.read(iLocal(string(e)))
+	case IBin:
+		r.intExpr(e.A)
+		r.intExpr(e.B)
+	case ILoad:
+		r.intExpr(e.Idx)
+	}
+}
+
+func (r *readIndex) expr(e Expr) {
+	switch e := e.(type) {
+	case FLocal:
+		r.read(fLocal(string(e)))
+	case FLoad:
+		r.intExpr(e.Idx)
+	case FUn:
+		r.expr(e.X)
+	case FBin:
+		r.expr(e.A)
+		r.expr(e.B)
+	case FCmp:
+		r.expr(e.A)
+		r.expr(e.B)
+	case FSel:
+		r.expr(e.P)
+		r.expr(e.A)
+		r.expr(e.B)
+	case FCastInt:
+		r.intExpr(e.X)
+	}
+}
+
+// trySweep plans and emits a LoopStride1 loop as row ops; bodyReads is the
+// span of the loop body's reads. On failure nothing is emitted and the
+// rejecting rule is returned.
+func (c *bcompiler) trySweep(s SLoop, bodyReads span) (string, bool) {
+	assigned := map[local]bool{}
 	assignedIn(s.Body, assigned)
 	body, consumed, unroll, why := canonSweep(s, assigned)
 	if why != "" {
@@ -90,10 +185,8 @@ func (c *bcompiler) trySweep(s SLoop) (string, bool) {
 	}
 	// The row ops materialize neither the loop variable nor the body's
 	// locals (accumulators aside), so nothing after the loop may read them.
-	bodyReads := map[string]int{}
-	countReadsStmts(s.Body, bodyReads)
 	for _, name := range consumed {
-		if c.globalReads[name] != bodyReads[name] {
+		if !c.reads.onlyIn(name, bodyReads) {
 			return "local read after the loop", false
 		}
 	}
@@ -113,7 +206,7 @@ func (c *bcompiler) trySweep(s SLoop) (string, bool) {
 // canonicalizes to the same statements; the sweep then covers k*extent
 // elements. consumed lists the prefixed names the row ops never
 // materialize.
-func canonSweep(s SLoop, assigned map[string]bool) (body []Stmt, consumed []string, unroll int, why string) {
+func canonSweep(s SLoop, assigned map[local]bool) (body []Stmt, consumed []local, unroll int, why string) {
 	k := 1
 	if len(s.Body) > 1 {
 		if first, ok := s.Body[0].(SSetInt); ok {
@@ -122,7 +215,7 @@ func canonSweep(s SLoop, assigned map[string]bool) (body []Stmt, consumed []stri
 			}
 		}
 	}
-	consumed = []string{"i:" + s.Var}
+	consumed = []local{iLocal(s.Var)}
 	if k == 1 {
 		body, names, why := canonLane(s.Body, s.Var, 1, 0, assigned)
 		return body, append(consumed, names...), 1, why
@@ -161,9 +254,9 @@ func sameStmts(a, b []Stmt) bool {
 // base + stride*v + off with off equal to the lane (stride 1: any constant
 // off, folded into the base); in a plain loop a load may also be a strided
 // gather, base + v*s with an invariant s, which stays as written.
-func canonLane(body []Stmt, v string, stride, lane int, assigned map[string]bool) ([]Stmt, []string, string) {
+func canonLane(body []Stmt, v string, stride, lane int, assigned map[local]bool) ([]Stmt, []local, string) {
 	ienv := map[string]IntExpr{}
-	var consumed []string
+	var consumed []local
 	why := ""
 	reject := func(rule string) {
 		if why == "" {
@@ -218,10 +311,10 @@ func canonLane(body []Stmt, v string, stride, lane int, assigned map[string]bool
 				return nil, nil, "int local assigned twice"
 			}
 			ienv[st.Var] = substInt(st.Val, ienv)
-			consumed = append(consumed, "i:"+st.Var)
+			consumed = append(consumed, iLocal(st.Var))
 		case SSet:
 			if !readsLocal(st.Val, st.Var) {
-				consumed = append(consumed, "f:"+st.Var)
+				consumed = append(consumed, fLocal(st.Var))
 			}
 			out = append(out, SSet{Var: st.Var, Val: expr(st.Val)})
 		case SStore:
@@ -241,14 +334,7 @@ func canonLane(body []Stmt, v string, stride, lane int, assigned map[string]bool
 
 // ctx is the classification context for a row op writing buffer dst.
 func (sw *sweep) ctx(dst int) rowCtx {
-	base := func(idx IntExpr) (IntExpr, bool) {
-		b, st, off, ok := splitAffine(idx, sw.v, sw.assigned)
-		if !ok || st != 1 {
-			return nil, false
-		}
-		return addConst(b, off), true
-	}
-	return rowCtx{v: sw.v, assigned: sw.assigned, base: base, dstBuf: dst, strided: sw.plain}
+	return rowCtx{v: sw.v, assigned: sw.assigned, dstBuf: dst, strided: sw.plain}
 }
 
 // plan turns the canonical statements into row ops. Locals read more than
@@ -291,7 +377,7 @@ func (sw *sweep) plan(body []Stmt) string {
 			return "buffer out of range"
 		}
 	}
-	reads := map[string]int{}
+	reads := map[local]int{}
 	countReadsStmts(body, reads)
 	env := map[string]Expr{}
 	defined := map[string]bool{}
@@ -313,7 +399,7 @@ func (sw *sweep) plan(body []Stmt) string {
 			if !ok {
 				return "local read before its definition"
 			}
-			if h, stored := home[st.Var]; stored || reads["f:"+st.Var] > 1 {
+			if h, stored := home[st.Var]; stored || reads[fLocal(st.Var)] > 1 {
 				if !stored {
 					h = sw.temp()
 				}
@@ -348,9 +434,9 @@ func (sw *sweep) plan(body []Stmt) string {
 // fold plans acc = bin(acc, E) as a row.reduce over E's row. The
 // accumulator must be defined before the loop and read nowhere else in the
 // body: the row op only produces its final value.
-func (sw *sweep) fold(st SSet, reads map[string]int, env map[string]Expr) string {
+func (sw *sweep) fold(st SSet, reads map[local]int, env map[string]Expr) string {
 	fb, ok := st.Val.(FBin)
-	if !ok || fb.A != FLocal(st.Var) || readsLocal(fb.B, st.Var) || reads["f:"+st.Var] != 1 {
+	if !ok || fb.A != FLocal(st.Var) || readsLocal(fb.B, st.Var) || reads[fLocal(st.Var)] != 1 {
 		return "accumulator read in the sweep"
 	}
 	if !sw.c.defFlt[st.Var] {
@@ -380,7 +466,7 @@ func (sw *sweep) subst(e Expr, env map[string]Expr) (Expr, bool) {
 		if r, ok := env[string(e)]; ok {
 			return r, true
 		}
-		return e, !sw.assigned["f:"+string(e)]
+		return e, !sw.assigned[fLocal(string(e))]
 	case FUn:
 		x, ok := sw.subst(e.X, env)
 		return FUn{Fn: e.Fn, X: x}, ok
@@ -566,10 +652,12 @@ func loadedBufs(e Expr, out map[int]bool) {
 // emitSweep emits the planned row ops. Without temporaries, or when the
 // element count is a constant no larger than splitChunk, the ops run once
 // over the whole sweep; otherwise they run chunk by chunk, in ascending
-// order so folds keep their order:
+// order so folds keep their order, as a counted loop over the chunks (the
+// only backward jump a program has is a loop tail):
 //
-//	c := 0
-//	while c < n { m := min(n-c, splitChunk); ops over [c, c+m); c += splitChunk }
+//	for k := 0; k < (n+splitChunk-1)/splitChunk; k++ {
+//	    c := k*splitChunk; m := min(n-c, splitChunk); ops over [c, c+m)
+//	}
 func (c *bcompiler) emitSweep(sw *sweep, s SLoop, unroll int) {
 	if sw.nTmp > c.nTmp {
 		c.nTmp = sw.nTmp
@@ -582,7 +670,7 @@ func (c *bcompiler) emitSweep(sw *sweep, s SLoop, unroll int) {
 	n, static := s.Extent.(IConst)
 	if sw.nTmp == 0 || static && int(n)*unroll <= splitChunk {
 		for t := 0; t < sw.nTmp; t++ {
-			c.emit(instr{op: opRowTmp, a: int32(c.k.NumBuffers + t), b: int32(t), e: tn})
+			c.emit(instr{op: opRowTmp, a: int32(c.k.NumBuffers + t), b: int32(t), e: int32(max(int(n)*unroll, 0))})
 		}
 		c.emitRowOps(sw.ops, tn, noOffset)
 		return
@@ -590,17 +678,21 @@ func (c *bcompiler) emitSweep(sw *sweep, s SLoop, unroll int) {
 	chunk := c.tempInt()
 	c.emit(instr{op: opIConst, a: chunk, b: splitChunk})
 	for t := 0; t < sw.nTmp; t++ {
-		c.emit(instr{op: opRowTmp, a: int32(c.k.NumBuffers + t), b: int32(t), e: chunk})
+		c.emit(instr{op: opRowTmp, a: int32(c.k.NumBuffers + t), b: int32(t), e: splitChunk})
 	}
+	nch := c.tempInt()
+	c.emit(instr{op: opIAddImm, a: nch, b: tn, c: splitChunk - 1})
+	c.emit(instr{op: opIDiv, a: nch, b: nch, c: chunk})
+	k := c.tempInt()
 	off := c.tempInt()
 	cnt := c.tempInt()
-	c.emit(instr{op: opIConst, a: off, b: 0})
-	head := c.emit(instr{op: opLoopHead, a: off, b: tn})
+	c.emit(instr{op: opIConst, a: k, b: 0})
+	head := c.emit(instr{op: opLoopHead, a: k, b: nch})
+	c.emit(instr{op: opIMulImm, a: off, b: k, c: splitChunk})
 	c.emit(instr{op: opISub, a: cnt, b: tn, c: off})
 	c.emit(instr{op: opIMin, a: cnt, b: cnt, c: chunk})
 	c.emitRowOps(sw.ops, cnt, off)
-	c.emit(instr{op: opIAddImm, a: off, b: off, c: splitChunk})
-	c.emit(instr{op: opJump, a: int32(head)})
+	c.emit(instr{op: opLoopTail, a: k, b: nch, c: int32(head + 1)})
 	c.code[head].c = c.here()
 }
 

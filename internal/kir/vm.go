@@ -186,7 +186,7 @@ func (p *program) exec(f *Frame) {
 				floats[i.a] = rowReduce(floats[i.a], bufs[i.b][ints[i.c]:ints[i.c]+n], int(i.g))
 			}
 		case opRowTmp:
-			if n := ints[i.e]; len(bufs[i.a]) < n {
+			if n := int(i.e); len(bufs[i.a]) < n {
 				t := make([]float32, n)
 				bufs[i.a] = t
 				f.tmps[i.b] = t

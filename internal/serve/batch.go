@@ -399,7 +399,7 @@ func (b *batcher) join(ctx context.Context, sp *obs.Span, m *modelEntry, req *Re
 	}
 
 	mb := &batchMember{req: req, rows: rows, joinedAt: time.Now(), done: make(chan batchResult, 1)}
-	key := cacheKey(m.name, sig) + lk
+	key := m.key(sig) + lk
 	// Lock order is always b.mu → ob.mu; the timer/abandon paths take
 	// ob.mu alone and the runner takes b.mu alone (map cleanup), so the
 	// two locks never invert.
@@ -599,7 +599,7 @@ func (ob *openBatch) run() {
 		defer sp.End()
 	}
 
-	key := cacheKey(ob.m.name, ob.sig)
+	key := ob.m.key(ob.sig)
 	if br := s.breakerFor(key); br != nil && !br.allow(time.Now()) {
 		// Quarantined engine: members short-circuit to fallback solo,
 		// where the outcome is counted once per request.

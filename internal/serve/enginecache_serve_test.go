@@ -147,7 +147,7 @@ func TestPersistBatchVerdictOnlyWhenBatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ent, err := servetest.OpenCache(t, dir).Load(cacheKey("mlp", sig))
+		ent, err := servetest.OpenCache(t, dir).Load(m.key(sig))
 		if ent == nil {
 			t.Fatalf("no persisted entry: %v", err)
 		}
@@ -263,18 +263,17 @@ func TestWarmCacheRunsPinnedUnderEviction(t *testing.T) {
 	if err := s.Register("mlp", buildMLP); err != nil {
 		t.Fatal(err)
 	}
-	sig, err := s.ModelSignature("mlp")
+	key, err := s.EngineKey("mlp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key = cacheKey("mlp", sig)
 
 	// A background evictor races the requests; between rounds, with every
 	// pin dropped, the slot is emptied for certain, so each round opens on
 	// a first-seen signature however the scheduler treats the evictor.
 	var evictions atomic.Int32
 	evict := func() {
-		if evicted, _ := s.EvictEngine("mlp", sig); evicted {
+		if evicted, _ := s.EvictEngine(key); evicted {
 			evictions.Add(1)
 		}
 	}

@@ -10,31 +10,44 @@ import "fmt"
 // executing request holds a pin on its cache entry (ral.Cache), and Evict
 // refuses pinned entries.
 
-// cacheKey names the engine-cache entry of a model's symbolic signature.
-// The signature alone is not enough: two models with identical signatures
-// still differ in weights, so the key scopes it by model name.
-func cacheKey(model, sig string) string { return model + "@" + sig }
+// cacheKey names the engine-cache entry of a model's symbolic signature:
+// model@sig, plus #content when the model was registered with a content
+// identity (RegisterContent). The signature alone is not enough: two
+// models with identical signatures still differ in weights, so the key
+// scopes it by model name; and one name may be reloaded with different
+// bytes, so the key also names the bytes.
+func cacheKey(model, content, sig string) string {
+	if content == "" {
+		return model + "@" + sig
+	}
+	return model + "@" + sig + "#" + content
+}
 
-// ModelSignature returns the symbolic shape signature of a registered
-// model — the second half of its engine-cache key. Callers that evict by
-// (model, signature) capture it at load time, before any unload removes
-// the builder.
-func (s *Server) ModelSignature(model string) (string, error) {
+// key returns the engine-cache key of the model under signature sig.
+func (m *modelEntry) key(sig string) string { return cacheKey(m.name, m.content, sig) }
+
+// EngineKey returns the engine-cache key a registered model's engine lives
+// under. Callers that evict (EvictEngine) capture it at load time, before
+// any unload removes the builder.
+func (s *Server) EngineKey(model string) (string, error) {
 	m, err := s.lookup(model)
 	if err != nil {
 		return "", err
 	}
-	return m.signature()
+	sig, err := m.signature()
+	if err != nil {
+		return "", err
+	}
+	return m.key(sig), nil
 }
 
-// EvictEngine removes the in-memory engine for (model, sig) — the entry
-// compiled under the key model@sig — unless an in-flight run holds it
-// pinned. evicted reports removal; pinned reports the entry is busy and
-// the caller should retry after the runs drain. A persisted copy in the
-// engine cache is untouched: the next request reloads it from disk (a
-// decode, not a compilation).
-func (s *Server) EvictEngine(model, sig string) (evicted, pinned bool) {
-	return s.cache.Evict(cacheKey(model, sig))
+// EvictEngine removes the in-memory engine under key (EngineKey) unless an
+// in-flight run holds it pinned. evicted reports removal; pinned reports
+// the entry is busy and the caller should retry after the runs drain. A
+// persisted copy in the engine cache is untouched: the next request
+// reloads it from disk (a decode, not a compilation).
+func (s *Server) EvictEngine(key string) (evicted, pinned bool) {
+	return s.cache.Evict(key)
 }
 
 // Unregister removes a model's builder: later Infer calls fail with an
@@ -53,7 +66,7 @@ func (s *Server) Unregister(model string) error {
 	}
 	delete(s.models, model)
 	if sig, err := m.signature(); err == nil {
-		key := cacheKey(model, sig)
+		key := m.key(sig)
 		delete(s.breakers, key)
 		s.wd.forget(key)
 	}

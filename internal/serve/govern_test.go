@@ -323,7 +323,7 @@ func TestUnregisterDropsWatchdogHistory(t *testing.T) {
 	if err := s.Register("m", buildMLP); err != nil {
 		t.Fatal(err)
 	}
-	sig, err := s.ModelSignature("m")
+	key, err := s.EngineKey("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestUnregisterDropsWatchdogHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, armed := s.wd.limit("m@" + sig); !armed {
+	if _, armed := s.wd.limit(key); !armed {
 		t.Fatal("watchdog not armed after warm-up runs")
 	}
 	if err := s.Unregister("m"); err != nil {
@@ -348,7 +348,7 @@ func TestUnregisterDropsWatchdogHistory(t *testing.T) {
 	if err := s.Register("m", buildMLP); err != nil {
 		t.Fatal(err)
 	}
-	if _, armed := s.wd.limit("m@" + sig); armed {
+	if _, armed := s.wd.limit(key); armed {
 		t.Fatal("re-registered model inherited the old watchdog envelope")
 	}
 }

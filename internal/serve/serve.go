@@ -266,7 +266,10 @@ type Server struct {
 // modelEntry is one registered builder plus its lazily computed symbolic
 // signature.
 type modelEntry struct {
-	name    string
+	name string
+	// content identifies the model's bytes (RegisterContent); "" when the
+	// caller registered a builder without one.
+	content string
 	build   func() *graph.Graph
 	sigOnce sync.Once
 	sig     string
@@ -406,6 +409,15 @@ func (s *Server) EngineCache() *enginecache.Cache { return s.cfg.EngineCache }
 // analysis, once per compiled engine, and once per interpreter-fallback
 // request.
 func (s *Server) Register(name string, build func() *graph.Graph) error {
+	return s.RegisterContent(name, "", build)
+}
+
+// RegisterContent is Register for a model whose bytes have an identity
+// (the fleet passes the SHA-256 of the model file): engines are cached,
+// in memory and on disk, under a key that names content as well as the
+// model name and signature, so an edited model file loaded under an old
+// name never reaches an engine compiled from the previous bytes.
+func (s *Server) RegisterContent(name, content string, build func() *graph.Graph) error {
 	if build == nil {
 		return fmt.Errorf("serve: model %q: nil builder", name)
 	}
@@ -414,7 +426,7 @@ func (s *Server) Register(name string, build func() *graph.Graph) error {
 	if _, dup := s.models[name]; dup {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
-	s.models[name] = &modelEntry{name: name, build: build}
+	s.models[name] = &modelEntry{name: name, content: content, build: build}
 	return nil
 }
 
@@ -445,7 +457,7 @@ func (s *Server) engine(m *modelEntry, sp *obs.Span) (Engine, bool, func(), erro
 	}
 	lsp := sp.Child("cache-lookup", obs.A("signature", sig))
 	defer lsp.End()
-	key := cacheKey(m.name, sig)
+	key := m.key(sig)
 	v, hit, err := s.cache.AcquireOrCompile(key, func() (any, error) {
 		return s.buildEngine(m, sig, key, lsp)
 	})
@@ -682,7 +694,7 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 		s.stats.failed()
 		return nil, err
 	}
-	key := cacheKey(m.name, sig)
+	key := m.key(sig)
 	br := s.breakerFor(key)
 	if !br.allow(time.Now()) {
 		s.stats.breakerShorted()
